@@ -6,6 +6,13 @@ latency it needs), register operands (for dependences and liveness),
 memory address (for the cache hierarchy), and branch outcome (for the
 predictor). That is what :class:`InstructionRecord` carries.
 
+Traces are stored column-wise as an :class:`InstructionTrace`: one
+integer column per field, validated in bulk, with per-op facts read from
+tables indexed by the op code (:data:`OP_UNIT`, :data:`OP_IS_MEMORY`,
+:data:`OP_IS_FP`). Iterating or indexing it yields
+:class:`InstructionRecord` rows, so code written against a list of
+records reads a column trace unchanged.
+
 Registers are architectural: 0..31 integer, 32..63 floating point
 (:data:`INT_REG_BASE`/:data:`FP_REG_BASE`). The machine's 256-entry
 physical register file (Table 1: 80 integer + 72 FP + control) is
@@ -14,8 +21,12 @@ modelled in the pipeline's liveness accounting.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
+
+import numpy as np
 
 from ..errors import TraceError
 
@@ -68,6 +79,14 @@ class OpClass(IntEnum):
         return "br"
 
 
+#: Functional-unit pools, in the order :data:`OP_UNIT` indexes them.
+UNIT_NAMES: tuple[str, ...] = ("int", "fp", "ls", "br")
+#: Per-op-code tables, indexed by ``int(OpClass)``.
+OP_UNIT: tuple[int, ...] = tuple(UNIT_NAMES.index(op.unit) for op in OpClass)
+OP_IS_MEMORY: tuple[bool, ...] = tuple(op.is_memory for op in OpClass)
+OP_IS_FP: tuple[bool, ...] = tuple(op.is_fp for op in OpClass)
+
+
 @dataclass(frozen=True)
 class InstructionRecord:
     """One dynamic instruction of a trace.
@@ -110,10 +129,138 @@ class InstructionRecord:
             raise TraceError("at most three source registers supported")
 
 
-def validate_trace(trace: list[InstructionRecord]) -> None:
+class InstructionTrace(Sequence):
+    """A dynamic trace stored as parallel integer columns.
+
+    Columns (all the same length):
+
+    * ``op`` — op codes (``int(OpClass)``);
+    * ``dest`` — destination register, ``-1`` for none;
+    * ``srcs`` — tuples of 0-3 source registers;
+    * ``pc`` — instruction addresses;
+    * ``mem_addr`` — effective addresses, ``-1`` for none;
+    * ``taken`` — branch outcomes.
+
+    The columns are validated once, in bulk, against the same rules
+    :class:`InstructionRecord` checks per record. Rows read back as
+    records; a trace equals another trace, or a list of records, with
+    the same rows.
+    """
+
+    __slots__ = ("op", "dest", "srcs", "pc", "mem_addr", "taken")
+
+    def __init__(self, op, dest, srcs, pc, mem_addr, taken):
+        self.op: list[int] = [int(code) for code in op]
+        self.dest: list[int] = list(dest)
+        self.srcs: list[tuple[int, ...]] = [tuple(s) for s in srcs]
+        self.pc: list[int] = list(pc)
+        self.mem_addr: list[int] = list(mem_addr)
+        self.taken: list[bool] = [bool(t) for t in taken]
+        self._validate()
+
+    @classmethod
+    def from_records(cls, records) -> "InstructionTrace":
+        """Pack :class:`InstructionRecord` rows into columns."""
+        records = list(records)
+        return cls(
+            [r.op for r in records],
+            [-1 if r.dest is None else r.dest for r in records],
+            [r.srcs for r in records],
+            [r.pc for r in records],
+            [-1 if r.mem_addr is None else r.mem_addr for r in records],
+            [r.taken for r in records],
+        )
+
+    @classmethod
+    def coerce(cls, trace) -> "InstructionTrace":
+        """``trace`` itself if already columnar, else its packed columns."""
+        return trace if isinstance(trace, cls) else cls.from_records(trace)
+
+    def _validate(self) -> None:
+        n = len(self.op)
+        lengths = {
+            len(column)
+            for column in (
+                self.dest, self.srcs, self.pc, self.mem_addr, self.taken
+            )
+        }
+        if lengths - {n}:
+            raise TraceError(f"column lengths {lengths | {n}} differ")
+        if not n:
+            return
+        op = np.asarray(self.op, dtype=np.int64)
+        if op.min() < 0 or op.max() >= len(OpClass):
+            raise TraceError("op code out of range")
+        dest = np.asarray(self.dest, dtype=np.int64)
+        if np.any((dest < -1) | (dest >= NUM_ARCH_REGS)):
+            raise TraceError("dest register out of range")
+        if max(map(len, self.srcs)) > 3:
+            raise TraceError("at most three source registers supported")
+        srcs = np.fromiter(chain.from_iterable(self.srcs), dtype=np.int64)
+        if np.any((srcs < 0) | (srcs >= NUM_ARCH_REGS)):
+            raise TraceError("src register out of range")
+        memory = np.asarray(OP_IS_MEMORY)[op]
+        if np.any(memory & (np.asarray(self.mem_addr) == -1)):
+            raise TraceError("memory ops need a memory address")
+        if np.any((op == OpClass.STORE) & (dest != -1)):
+            raise TraceError("stores do not write registers")
+
+    def record(self, index: int) -> InstructionRecord:
+        dest = self.dest[index]
+        mem_addr = self.mem_addr[index]
+        return InstructionRecord(
+            op=OpClass(self.op[index]),
+            dest=None if dest < 0 else dest,
+            srcs=self.srcs[index],
+            pc=self.pc[index],
+            mem_addr=None if mem_addr == -1 else mem_addr,
+            taken=self.taken[index],
+        )
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return InstructionTrace(
+                self.op[index],
+                self.dest[index],
+                self.srcs[index],
+                self.pc[index],
+                self.mem_addr[index],
+                self.taken[index],
+            )
+        return self.record(range(len(self.op))[index])
+
+    def __iter__(self):
+        return map(self.record, range(len(self.op)))
+
+    def _columns(self) -> tuple:
+        return (
+            self.op, self.dest, self.srcs, self.pc, self.mem_addr, self.taken
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, InstructionTrace):
+            return self._columns() == other._columns()
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"InstructionTrace({len(self)} instructions)"
+
+
+def validate_trace(trace: InstructionTrace | list[InstructionRecord]) -> None:
     """Validate a whole trace (cheap structural checks)."""
     if not trace:
         raise TraceError("empty instruction trace")
+    if isinstance(trace, InstructionTrace):
+        return  # validated in bulk on construction
     # InstructionRecord validates each record on construction; here we
     # only check the container type to catch accidental generators that
     # were already consumed.

@@ -8,7 +8,9 @@ constraints:
 
 * fetch bandwidth, I-cache/iTLB misses, branch-mispredict redirects;
 * POWER4-style dispatch groups (up to 5 instructions, broken at
-  branches), one group dispatched and one retired per cycle;
+  branches), one group retired per cycle (one group *dispatched* per
+  cycle is intended but not enforced — a known defect kept for
+  byte-identical masking traces, see DESIGN.md);
 * reorder-buffer, issue-queue, and memory-queue occupancy;
 * operand readiness through architectural register dependences;
 * functional-unit pools (2 INT / 2 FP / 2 LS / 1 BR) with the paper's
@@ -24,6 +26,10 @@ ordering. Wrong-path instructions after mispredicted branches are not
 simulated; the redirect penalty models their cost (Turandot's own
 default trace-driven mode does the same).
 
+The scheduler is one sequential loop over the trace's integer columns
+(:class:`~repro.microarch.isa.InstructionTrace`); per-op facts (unit
+pool, latency, pipelining) come from tables indexed by the op code.
+
 The scheduler's second product is the paper's masking trace: per-cycle
 busy fractions for the unit pools, per-cycle dispatch (decode) activity,
 and per-value register live intervals.
@@ -37,8 +43,20 @@ from ..errors import SimulationError
 from .branch import BimodalPredictor
 from .caches import Cache, MemoryHierarchy, Tlb
 from .config import MachineConfig
-from .isa import NUM_ARCH_REGS, InstructionRecord, OpClass
+from .isa import (
+    NUM_ARCH_REGS,
+    OP_IS_MEMORY,
+    OP_UNIT,
+    UNIT_NAMES,
+    InstructionRecord,
+    InstructionTrace,
+    OpClass,
+)
 from .stats import PipelineStats
+
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
 
 
 @dataclass
@@ -63,29 +81,6 @@ class ScheduleResult:
         return self.retire[-1] + 1 if self.retire else 0
 
 
-class _UnitPool:
-    """Functional-unit instances with per-instance availability."""
-
-    def __init__(self, name: str, count: int):
-        self.name = name
-        self.available = [0] * count
-        self.busy_cycles = 0
-
-    def allocate(self, ready: int, occupancy: int, blocking: int) -> int:
-        """Issue an op that is ready at ``ready``.
-
-        ``occupancy`` is how long the instance processes the op (for the
-        busy mask); ``blocking`` is how long before the instance can
-        accept another op (1 for pipelined, = occupancy for unpipelined).
-        Returns the issue cycle.
-        """
-        best = min(range(len(self.available)), key=self.available.__getitem__)
-        issue = max(ready, self.available[best])
-        self.available[best] = issue + blocking
-        self.busy_cycles += occupancy
-        return issue
-
-
 class PipelineModel:
     """One simulation run over one instruction trace."""
 
@@ -104,11 +99,21 @@ class PipelineModel:
         )
         self.predictor = BimodalPredictor(config.branch_predictor_entries)
 
-    def run(self, trace: list[InstructionRecord]) -> ScheduleResult:
+    def run(
+        self, trace: InstructionTrace | list[InstructionRecord]
+    ) -> ScheduleResult:
+        """Schedule ``trace`` (a list of records is packed into columns)."""
         if not trace:
             raise SimulationError("cannot simulate an empty trace")
+        columns = InstructionTrace.coerce(trace)
+        ops = columns.op
+        dests = columns.dest
+        srcs_col = columns.srcs
+        pcs = columns.pc
+        addrs = columns.mem_addr
+        takens = columns.taken
         cfg = self.config
-        n = len(trace)
+        n = len(ops)
 
         fetch = [0] * n
         dispatch = [0] * n
@@ -116,15 +121,18 @@ class PipelineModel:
         complete = [0] * n
         retire = [0] * n
 
-        pools = {
-            "int": _UnitPool("int", cfg.int_units.count),
-            "fp": _UnitPool("fp", cfg.fp_units.count),
-            "ls": _UnitPool("ls", cfg.ls_units.count),
-            "br": _UnitPool("br", cfg.br_units.count),
-        }
-        unit_intervals: dict[str, list[tuple[int, int]]] = {
-            name: [] for name in pools
-        }
+        # Per-op-code tables of this machine: base latency, and whether
+        # the op blocks its unit instance for its whole latency.
+        op_latency = [cfg.latency_of(op) for op in OpClass]
+        op_unpipelined = [op in cfg.unpipelined_ops for op in OpClass]
+
+        # Functional-unit pools, indexed like UNIT_NAMES: per-instance
+        # availability, busy cycles, and (issue, end) busy intervals.
+        unit_available = [
+            [0] * cfg.unit_pool(name).count for name in UNIT_NAMES
+        ]
+        unit_busy = [0] * len(UNIT_NAMES)
+        unit_spans: list[list[tuple[int, int]]] = [[] for _ in UNIT_NAMES]
 
         # Architectural register ready times (cycle the value is usable).
         reg_ready = [0] * NUM_ARCH_REGS
@@ -147,137 +155,190 @@ class PipelineModel:
         fetched_this_cycle = 0
         redirect_after: int | None = None  # front end blocked until here
 
-        group_members: list[int] = []
-        last_dispatch_cycle = -1
+        group_first = 0  # index of the pending dispatch group's oldest op
         last_retire_cycle = -1
         dispatch_cycles: list[int] = []
 
+        fetch_width = cfg.fetch_width
+        group_size = cfg.dispatch_group_size
+        rob_entries = cfg.rob_entries
+        iq_entries = cfg.issue_queue_entries
+        mq_entries = cfg.memory_queue_entries
+        finish_width = cfg.finish_width
+        redirect_penalty = cfg.mispredict_redirect_penalty
+        l1i_latency = cfg.l1i.latency
+        l1d_latency = self.dcache.spec.latency
         line_shift = (cfg.l1i.line_bytes - 1).bit_length()
+        imem_access = self.imem.access
+        dmem_access = self.dmem.access
+        predict_and_update = self.predictor.predict_and_update
+        last = n - 1
 
-        def close_group() -> None:
-            """Dispatch the pending group and compute its retirement."""
-            nonlocal last_dispatch_cycle, last_retire_cycle, group_members
-            if not group_members:
-                return
-            # Dispatch constraints: decode pipe after fetch, one group
-            # per cycle, ROB / issue-queue / memory-queue occupancy.
-            earliest = max(fetch[j] for j in group_members) + 1
-            earliest = max(earliest, last_dispatch_cycle + 1)
-            first = group_members[0]
-            rob_blocker = first - cfg.rob_entries + len(group_members)
-            if rob_blocker >= 0:
-                earliest = max(earliest, retire[rob_blocker] + 1)
-            iq_blocker = first - cfg.issue_queue_entries + len(group_members)
-            if iq_blocker >= 0:
-                earliest = max(earliest, issue[iq_blocker] + 1)
-            # Memory queue (FIFO-slot approximation, as for the ROB): the
-            # memop that is memory_queue_entries older than each memop in
-            # this group must have released its slot.
-            ordinal = len(memop_release)
-            for j in group_members:
-                if trace[j].op.is_memory:
-                    blocker = ordinal - cfg.memory_queue_entries
-                    if 0 <= blocker < len(memop_release):
-                        earliest = max(earliest, memop_release[blocker])
-                    elif blocker >= 0 and memop_release:
-                        # The blocking memop is in this same group (the
-                        # group alone overflows the queue); approximate
-                        # by waiting for the newest known release.
-                        earliest = max(earliest, memop_release[-1])
-                    ordinal += 1
-            dispatch_cycle = earliest
-            dispatch_cycles.append(dispatch_cycle)
-            stats.dispatch_groups += 1
-
-            group_complete = 0
-            for j in group_members:
-                dispatch[j] = dispatch_cycle
-                self._schedule_execution(
-                    j,
-                    trace[j],
-                    dispatch_cycle,
-                    reg_ready,
-                    pools,
-                    unit_intervals,
-                    issue,
-                    complete,
-                    completions_in_cycle,
-                    stats,
-                )
-                record = trace[j]
-                # Liveness: reads extend the current value's interval.
-                for src in record.srcs:
-                    if def_cycle[src] >= 0:
-                        last_read[src] = max(last_read[src], issue[j])
-                # A write finalises the previous value's interval.
-                if record.dest is not None:
-                    reg = record.dest
-                    if def_cycle[reg] >= 0 and last_read[reg] > def_cycle[reg]:
-                        live_intervals.append(
-                            (reg, def_cycle[reg], last_read[reg])
-                        )
-                    def_cycle[reg] = complete[j]
-                    last_read[reg] = -1
-                group_complete = max(group_complete, complete[j])
-
-            retire_cycle = max(group_complete + 1, last_retire_cycle + 1)
-            for j in group_members:
-                retire[j] = retire_cycle
-            last_retire_cycle = retire_cycle
-
-            # Memory-queue release: loads free at completion, stores
-            # drain after retirement.
-            for j in group_members:
-                if trace[j].op is OpClass.LOAD:
-                    memop_release.append(complete[j] + 1)
-                elif trace[j].op is OpClass.STORE:
-                    memop_release.append(retire_cycle + 1)
-            group_members = []
-
-        for i, record in enumerate(trace):
+        for i in range(n):
+            op = ops[i]
+            pc = pcs[i]
             # ---------------- fetch ----------------
             if redirect_after is not None:
-                next_fetch_cycle = max(next_fetch_cycle, redirect_after)
+                if redirect_after > next_fetch_cycle:
+                    next_fetch_cycle = redirect_after
                 fetched_this_cycle = 0
                 redirect_after = None
-            line = record.pc >> line_shift
+            line = pc >> line_shift
             if line != fetch_line:
                 fetch_line = line
-                miss_latency = self.imem.access(record.pc)
-                if miss_latency > cfg.l1i.latency:
-                    next_fetch_cycle += miss_latency - cfg.l1i.latency
+                miss_latency = imem_access(pc)
+                if miss_latency > l1i_latency:
+                    next_fetch_cycle += miss_latency - l1i_latency
                     fetched_this_cycle = 0
-            if fetched_this_cycle >= cfg.fetch_width:
+            if fetched_this_cycle >= fetch_width:
                 next_fetch_cycle += 1
                 fetched_this_cycle = 0
             fetch[i] = next_fetch_cycle
             fetched_this_cycle += 1
 
             # ---------------- group formation ----------------
-            group_members.append(i)
-            breaks = len(group_members) >= cfg.dispatch_group_size
-            if record.op.is_branch:
-                breaks = True
-            if breaks:
-                close_group()
+            # POWER4-style groups of up to ``group_size`` ops, broken
+            # after a branch; the trace's last op closes the last group.
+            is_branch = op == _BRANCH
+            if not (
+                is_branch or i - group_first + 1 >= group_size or i == last
+            ):
+                continue
+
+            # ---------------- dispatch ----------------
+            # Decode pipe after fetch (fetch cycles never decrease, so
+            # the group's newest op was fetched last), then ROB /
+            # issue-queue / memory-queue occupancy. The one-group-per-
+            # cycle dispatch limit is *not* enforced: see DESIGN.md,
+            # "Known simulator defects".
+            first = group_first
+            members = range(first, i + 1)
+            count = i + 1 - first
+            earliest = fetch[i] + 1
+            rob_blocker = first - rob_entries + count
+            if rob_blocker >= 0 and retire[rob_blocker] + 1 > earliest:
+                earliest = retire[rob_blocker] + 1
+            iq_blocker = first - iq_entries + count
+            if iq_blocker >= 0 and issue[iq_blocker] + 1 > earliest:
+                earliest = issue[iq_blocker] + 1
+            # Memory queue (FIFO-slot approximation, as for the ROB): the
+            # memop that is mq_entries older than each memop in this
+            # group must have released its slot.
+            released = len(memop_release)
+            ordinal = released
+            for j in members:
+                if OP_IS_MEMORY[ops[j]]:
+                    blocker = ordinal - mq_entries
+                    if 0 <= blocker < released:
+                        if memop_release[blocker] > earliest:
+                            earliest = memop_release[blocker]
+                    elif blocker >= 0 and released:
+                        # The blocking memop is in this same group (the
+                        # group alone overflows the queue); approximate
+                        # by waiting for the newest known release.
+                        if memop_release[-1] > earliest:
+                            earliest = memop_release[-1]
+                    ordinal += 1
+            dispatch_cycle = earliest
+            dispatch_cycles.append(dispatch_cycle)
+            stats.dispatch_groups += 1
+
+            # ---------------- issue and execute ----------------
+            group_complete = 0
+            for j in members:
+                dispatch[j] = dispatch_cycle
+                op_j = ops[j]
+                srcs = srcs_col[j]
+                ready = dispatch_cycle + 1
+                for src in srcs:
+                    if reg_ready[src] > ready:
+                        ready = reg_ready[src]
+
+                base_latency = op_latency[op_j]
+                if op_j == _LOAD:
+                    stats.loads += 1
+                    # The LS unit is occupied for address generation plus
+                    # the L1 probe; a miss parks in the (modelled-
+                    # unbounded) miss queue and only delays this load's
+                    # completion, as in a non-blocking cache.
+                    occupancy = base_latency + l1d_latency
+                    total_latency = base_latency + dmem_access(addrs[j])
+                elif op_j == _STORE:
+                    stats.stores += 1
+                    # Stores translate/probe at execute; data is written
+                    # at retirement through the memory queue.
+                    dmem_access(addrs[j])
+                    occupancy = total_latency = base_latency
+                else:
+                    occupancy = total_latency = base_latency
+
+                # Functional unit: the first instance free earliest.
+                unit = OP_UNIT[op_j]
+                available = unit_available[unit]
+                free_at = min(available)
+                slot = available.index(free_at)
+                issue_cycle = ready if ready > free_at else free_at
+                available[slot] = issue_cycle + (
+                    occupancy if op_unpipelined[op_j] else 1
+                )
+                unit_busy[unit] += occupancy
+
+                complete_cycle = issue_cycle + total_latency
+                # Finish-width limit: at most finish_width completions
+                # per cycle.
+                finishing = completions_in_cycle.get(complete_cycle, 0)
+                while finishing >= finish_width:
+                    complete_cycle += 1
+                    finishing = completions_in_cycle.get(complete_cycle, 0)
+                completions_in_cycle[complete_cycle] = finishing + 1
+
+                issue[j] = issue_cycle
+                complete[j] = complete_cycle
+                unit_spans[unit].append((issue_cycle, issue_cycle + occupancy))
+
+                # Liveness: reads extend the current value's interval.
+                for src in srcs:
+                    if def_cycle[src] >= 0 and issue_cycle > last_read[src]:
+                        last_read[src] = issue_cycle
+                # A write finalises the previous value's interval.
+                reg = dests[j]
+                if reg >= 0:
+                    reg_ready[reg] = complete_cycle
+                    if def_cycle[reg] >= 0 and last_read[reg] > def_cycle[reg]:
+                        live_intervals.append(
+                            (reg, def_cycle[reg], last_read[reg])
+                        )
+                    def_cycle[reg] = complete_cycle
+                    last_read[reg] = -1
+                if complete_cycle > group_complete:
+                    group_complete = complete_cycle
+
+            # ---------------- retire ----------------
+            retire_cycle = max(group_complete + 1, last_retire_cycle + 1)
+            for j in members:
+                retire[j] = retire_cycle
+            last_retire_cycle = retire_cycle
+
+            # Memory-queue release: loads free at completion, stores
+            # drain after retirement.
+            for j in members:
+                if ops[j] == _LOAD:
+                    memop_release.append(complete[j] + 1)
+                elif ops[j] == _STORE:
+                    memop_release.append(retire_cycle + 1)
+            group_first = i + 1
 
             # ---------------- branch outcome ----------------
-            if record.op.is_branch:
+            if is_branch:
                 stats.branches += 1
-                correct = self.predictor.predict_and_update(
-                    record.pc, record.taken
-                )
-                if not correct:
+                taken = takens[i]
+                if not predict_and_update(pc, taken):
                     stats.mispredictions += 1
-                    redirect_after = (
-                        complete[i] + cfg.mispredict_redirect_penalty
-                    )
-                elif record.taken:
+                    redirect_after = complete[i] + redirect_penalty
+                elif taken:
                     # Taken branches end the fetch group (redirect bubble
                     # is hidden by the predictor; next line fetch below).
-                    fetched_this_cycle = cfg.fetch_width
-
-        close_group()
+                    fetched_this_cycle = fetch_width
 
         stats.instructions = n
         stats.cycles = retire[-1] + 1
@@ -286,9 +347,8 @@ class PipelineModel:
         stats.l2_misses = self.l2.misses
         stats.itlb_misses = self.itlb.misses
         stats.dtlb_misses = self.dtlb.misses
-        stats.unit_busy_cycles = {
-            name: pool.busy_cycles for name, pool in pools.items()
-        }
+        stats.unit_busy_cycles = dict(zip(UNIT_NAMES, unit_busy))
+        unit_intervals = dict(zip(UNIT_NAMES, unit_spans))
 
         # Finalise still-open liveness intervals at trace end.
         for reg in range(NUM_ARCH_REGS):
@@ -306,62 +366,3 @@ class PipelineModel:
             live_intervals=live_intervals,
             stats=stats,
         )
-
-    def _schedule_execution(
-        self,
-        index: int,
-        record: InstructionRecord,
-        dispatch_cycle: int,
-        reg_ready: list[int],
-        pools: dict,
-        unit_intervals: dict,
-        issue: list[int],
-        complete: list[int],
-        completions_in_cycle: dict,
-        stats: PipelineStats,
-    ) -> None:
-        cfg = self.config
-        ready = dispatch_cycle + 1
-        for src in record.srcs:
-            ready = max(ready, reg_ready[src])
-
-        base_latency = cfg.latency_of(record.op)
-        if record.op is OpClass.LOAD:
-            stats.loads += 1
-            # The LS unit is occupied for address generation plus the L1
-            # probe; a miss parks in the (modelled-unbounded) miss queue
-            # and only delays this load's completion, as in a
-            # non-blocking cache.
-            extra = self.dmem.access(record.mem_addr)
-            occupancy = base_latency + self.dcache.spec.latency
-            total_latency = base_latency + extra
-        elif record.op is OpClass.STORE:
-            stats.stores += 1
-            # Stores translate/probe at execute; data is written at
-            # retirement through the memory queue.
-            self.dmem.access(record.mem_addr)
-            occupancy = base_latency
-            total_latency = base_latency
-        else:
-            occupancy = base_latency
-            total_latency = base_latency
-
-        pool = pools[record.op.unit]
-        blocking = occupancy if record.op in cfg.unpipelined_ops else 1
-        issue_cycle = pool.allocate(ready, occupancy, blocking)
-
-        complete_cycle = issue_cycle + total_latency
-        # Finish-width limit: at most finish_width completions per cycle.
-        while completions_in_cycle.get(complete_cycle, 0) >= cfg.finish_width:
-            complete_cycle += 1
-        completions_in_cycle[complete_cycle] = (
-            completions_in_cycle.get(complete_cycle, 0) + 1
-        )
-
-        issue[index] = issue_cycle
-        complete[index] = complete_cycle
-        unit_intervals[record.op.unit].append(
-            (issue_cycle, issue_cycle + occupancy)
-        )
-        if record.dest is not None:
-            reg_ready[record.dest] = complete_cycle

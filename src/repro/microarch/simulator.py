@@ -28,7 +28,12 @@ from ..errors import SimulationError
 from ..masking.liveness import live_counts_from_intervals
 from ..masking.trace import MaskingTrace
 from .config import MachineConfig
-from .isa import FP_REG_BASE, InstructionRecord, validate_trace
+from .isa import (
+    FP_REG_BASE,
+    InstructionRecord,
+    InstructionTrace,
+    validate_trace,
+)
 from .pipeline import PipelineModel, ScheduleResult
 from .stats import PipelineStats
 
@@ -58,7 +63,6 @@ def _pool_busy_fraction(
 
 def _register_file_vulnerability(
     schedule: ScheduleResult,
-    trace: list[InstructionRecord],
     config: MachineConfig,
     n_cycles: int,
 ) -> np.ndarray:
@@ -80,7 +84,7 @@ def _register_file_vulnerability(
 
 
 def simulate(
-    trace: list[InstructionRecord],
+    trace: InstructionTrace | list[InstructionRecord],
     config: MachineConfig | None = None,
     workload: str = "",
 ) -> SimulationResult:
@@ -90,7 +94,8 @@ def simulate(
     ----------
     trace:
         Dynamic instruction stream (e.g. from
-        :mod:`repro.workloads.spec`).
+        :mod:`repro.workloads.spec`); a list of records is packed into
+        columns once, here.
     config:
         Machine description; defaults to the paper's Table-1
         configuration.
@@ -100,7 +105,7 @@ def simulate(
     config = config or MachineConfig.power4_like()
     validate_trace(trace)
     model = PipelineModel(config)
-    schedule = model.run(trace)
+    schedule = model.run(InstructionTrace.coerce(trace))
     n_cycles = schedule.total_cycles
     if n_cycles <= 0:
         raise SimulationError("schedule produced no cycles")
@@ -122,7 +127,7 @@ def simulate(
     masks["decode_unit"] = decode
 
     masks["register_file"] = _register_file_vulnerability(
-        schedule, trace, config, n_cycles
+        schedule, config, n_cycles
     )
 
     masking_trace = MaskingTrace(

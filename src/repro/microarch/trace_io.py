@@ -20,46 +20,35 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import TraceError
-from .isa import InstructionRecord, OpClass
+from .isa import InstructionRecord, InstructionTrace
 
 _FORMAT_VERSION = 1
 
 
-def save_trace(trace: list[InstructionRecord], path: "str | Path") -> None:
+def save_trace(
+    trace: InstructionTrace | list[InstructionRecord], path: "str | Path"
+) -> None:
     """Serialise a trace to a compressed ``.npz`` file."""
-    if not trace:
+    if not len(trace):
         raise TraceError("refusing to save an empty trace")
-    n = len(trace)
-    op = np.empty(n, dtype=np.int8)
-    dest = np.full(n, -1, dtype=np.int16)
-    srcs = np.full((n, 3), -1, dtype=np.int16)
-    pc = np.empty(n, dtype=np.int64)
-    mem_addr = np.full(n, -1, dtype=np.int64)
-    taken = np.zeros(n, dtype=bool)
-    for i, record in enumerate(trace):
-        op[i] = int(record.op)
-        if record.dest is not None:
-            dest[i] = record.dest
-        for j, src in enumerate(record.srcs):
-            srcs[i, j] = src
-        pc[i] = record.pc
-        if record.mem_addr is not None:
-            mem_addr[i] = record.mem_addr
-        taken[i] = record.taken
+    columns = InstructionTrace.coerce(trace)
+    srcs = np.full((len(columns), 3), -1, dtype=np.int16)
+    for i, sources in enumerate(columns.srcs):
+        srcs[i, : len(sources)] = sources
     np.savez_compressed(
         Path(path),
         version=np.asarray(_FORMAT_VERSION),
-        op=op,
-        dest=dest,
+        op=np.asarray(columns.op, dtype=np.int8),
+        dest=np.asarray(columns.dest, dtype=np.int16),
         srcs=srcs,
-        pc=pc,
-        mem_addr=mem_addr,
-        taken=taken,
+        pc=np.asarray(columns.pc, dtype=np.int64),
+        mem_addr=np.asarray(columns.mem_addr, dtype=np.int64),
+        taken=np.asarray(columns.taken, dtype=bool),
     )
 
 
-def load_trace(path: "str | Path") -> list[InstructionRecord]:
-    """Load a trace saved by :func:`save_trace`."""
+def load_trace(path: "str | Path") -> InstructionTrace:
+    """Load a trace saved by :func:`save_trace` (validated in bulk)."""
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
@@ -81,17 +70,11 @@ def load_trace(path: "str | Path") -> list[InstructionRecord]:
     lengths = {arr.shape[0] for arr in (op, dest, srcs, pc, mem_addr, taken)}
     if len(lengths) != 1:
         raise TraceError(f"{path}: inconsistent array lengths {lengths}")
-    trace: list[InstructionRecord] = []
-    for i in range(op.shape[0]):
-        sources = tuple(int(s) for s in srcs[i] if s >= 0)
-        trace.append(
-            InstructionRecord(
-                op=OpClass(int(op[i])),
-                dest=int(dest[i]) if dest[i] >= 0 else None,
-                srcs=sources,
-                pc=int(pc[i]),
-                mem_addr=int(mem_addr[i]) if mem_addr[i] >= 0 else None,
-                taken=bool(taken[i]),
-            )
-        )
-    return trace
+    return InstructionTrace(
+        op.tolist(),
+        dest.tolist(),
+        [tuple(s for s in row if s >= 0) for row in srcs.tolist()],
+        pc.tolist(),
+        mem_addr.tolist(),
+        taken.tolist(),
+    )

@@ -7,7 +7,7 @@ qualitative claims, mirroring the benchmark suite but at unit-test cost.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness import all_experiments, get_experiment
+from repro.harness import all_experiments, get_experiment, spec_setup
 from repro.harness.spec_setup import (
     PAPER_COMPONENTS,
     masking_trace_for,
@@ -15,6 +15,8 @@ from repro.harness.spec_setup import (
     processor_profile,
     spec_uniprocessor_system,
 )
+from repro.microarch import simulate
+from repro.workloads import spec_benchmark, synthesize_trace
 
 FAST_TRIALS = 8_000
 
@@ -41,6 +43,24 @@ class TestSpecSetup:
         a = masking_trace_for("gzip", 3_000)
         b = masking_trace_for("gzip", 3_000)
         assert a is b  # lru_cache hit
+
+    def test_default_window_spellings_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(spec_setup, "DEFAULT_INSTRUCTIONS", 2_000)
+        trace = masking_trace_for("gzip")
+        assert masking_trace_for("gzip", None, 0) is trace
+        assert masking_trace_for("gzip", 2_000, 0) is trace
+
+    def test_changed_default_window_is_not_stale(self, monkeypatch):
+        monkeypatch.setattr(spec_setup, "DEFAULT_INSTRUCTIONS", 2_000)
+        before = masking_trace_for("gzip")
+        # No clear_trace_cache(): the new window must still be simulated.
+        monkeypatch.setattr(spec_setup, "DEFAULT_INSTRUCTIONS", 3_000)
+        after = masking_trace_for("gzip")
+        expected = simulate(
+            synthesize_trace(spec_benchmark("gzip"), 3_000, seed=0)
+        ).stats.cycles
+        assert after.n_cycles == expected
+        assert after.n_cycles != before.n_cycles
 
     def test_uniprocessor_has_four_components(self):
         system = spec_uniprocessor_system("gzip", 3_000)

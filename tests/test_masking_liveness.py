@@ -29,6 +29,31 @@ class TestLiveCounts:
         with pytest.raises(TraceError):
             live_counts_from_intervals([], 0)
 
+    def test_matches_loop_reference(self):
+        # The difference-array sweep is vectorised; the per-interval
+        # loop it replaced stays here as the reference.
+        def reference(intervals, n_cycles):
+            diff = np.zeros(n_cycles + 1, dtype=np.int64)
+            for start, end in intervals:
+                if end <= start:
+                    continue
+                start = max(int(start), 0)
+                end = min(int(end), n_cycles)
+                if start >= n_cycles or end <= 0:
+                    continue
+                diff[start] += 1
+                diff[end] -= 1
+            return np.cumsum(diff[:-1])
+
+        rng = np.random.default_rng(3)
+        for n_cycles in (1, 7, 200):
+            pairs = rng.integers(-20, n_cycles + 20, size=(300, 2))
+            intervals = [tuple(p) for p in pairs.tolist()]
+            expected = reference(intervals, n_cycles)
+            counts = live_counts_from_intervals(intervals, n_cycles)
+            assert counts.dtype == expected.dtype
+            np.testing.assert_array_equal(counts, expected)
+
 
 class TestLiveFraction:
     def test_fraction(self):

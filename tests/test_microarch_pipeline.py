@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.microarch import InstructionRecord, MachineConfig, OpClass, simulate
+from repro.microarch.isa import InstructionTrace
 from repro.microarch.pipeline import PipelineModel
 from repro.workloads import spec_benchmark, synthesize_trace
 
@@ -113,6 +114,19 @@ class TestStructuralLimits:
         assert schedule.fetch[2] >= schedule.complete[1]
 
 
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect, kept for byte-identical masking traces: "
+        "one dispatch group per cycle is not enforced (DESIGN.md, "
+        "Known simulator defects)",
+    )
+    def test_one_dispatch_group_per_cycle(self):
+        trace = synthesize_trace(spec_benchmark("gzip"), 2_000, seed=0)
+        cycles = run(trace).dispatch_cycles
+        assert all(b > a for a, b in zip(cycles, cycles[1:]))
+
+
 class TestMaskingOutputs:
     def test_unit_intervals_recorded(self):
         trace = [alu(1), InstructionRecord(OpClass.FP_ADD, dest=40)]
@@ -163,6 +177,17 @@ class TestSimulateDriver:
         for name in result.masking_trace.component_names:
             mask = result.masking_trace.mask(name)
             assert np.all((mask >= 0) & (mask <= 1))
+
+    def test_record_list_and_columns_schedule_identically(self):
+        records = list(synthesize_trace(spec_benchmark("mcf"), 2_000, seed=4))
+        columns = InstructionTrace.from_records(records)
+        a = simulate(records, MachineConfig.power4_like())
+        b = simulate(columns, MachineConfig.power4_like())
+        assert a.schedule == b.schedule
+        for name in a.masking_trace.component_names:
+            assert np.array_equal(
+                a.masking_trace.mask(name), b.masking_trace.mask(name)
+            )
 
     def test_deterministic(self):
         trace = synthesize_trace(spec_benchmark("art"), 2000, seed=9)

@@ -17,6 +17,7 @@ from repro.workloads import (
     synthesize_trace,
     week_workload,
 )
+from repro.workloads.synthesis import _draw_ops, _mix_table, _phase_mix
 
 
 class TestBenchmarkRegistry:
@@ -91,6 +92,32 @@ class TestSynthesis:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             synthesize_trace(spec_benchmark("gzip"), 0)
+
+    def test_window_shorter_than_preamble(self):
+        trace = synthesize_trace(spec_benchmark("gzip"), 5, seed=0)
+        assert len(trace) == 5
+        assert trace == synthesize_trace(spec_benchmark("gzip"), 40)[:5]
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_op_draws_consume_the_stream_like_choice(self, phase):
+        # _draw_ops replaces rng.choice(..., p=weights); the generator
+        # must advance identically and yield the same ops, or every
+        # synthesized trace changes.
+        mix = _phase_mix(spec_benchmark("swim"), phase)
+        weights = np.asarray(list(mix.values()), dtype=float)
+        table = _mix_table(mix)
+        for seed in range(20):
+            fast = np.random.default_rng(seed)
+            slow = np.random.default_rng(seed)
+            for count in (1, 5, 40):
+                expected = [
+                    int(list(mix)[i])
+                    for i in slow.choice(
+                        len(mix), size=count, p=weights / weights.sum()
+                    )
+                ]
+                assert _draw_ops(fast, table, count) == expected
+            assert fast.random() == slow.random()
 
 
 class TestLongRunWorkloads:
