@@ -20,6 +20,7 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -27,6 +28,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -123,6 +125,58 @@ def _timed(fn, repeat: int) -> tuple[float, object]:
         value = fn()
         best = min(best, time.perf_counter() - started)
     return best, value
+
+
+@contextlib.contextmanager
+def _trial_counts():
+    """Count the Monte-Carlo trials a run draws and the trials it folds.
+
+    ``computed`` sums every in-process draw of a compiled sampling plan
+    (``SamplingPlan.sample_ttf``, which ``SamplingPlan.chunk_moments``
+    and the in-process samplers both call); ``folded`` sums the trials
+    behind every estimate built (``estimate_from_moments`` and
+    ``_estimate_from_samples``). A draw that no estimate folds —
+    a straggler chunk of a point that already stopped — shows as
+    ``computed > folded``. Draws made in worker processes are not seen.
+    The yielded dict is zeroed by the caller between repetitions.
+    """
+    from repro.core import kernel, montecarlo
+
+    counts = {"computed": 0, "folded": 0}
+    lock = threading.Lock()
+
+    def counting(owner, attr, key, trials_of):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            with lock:
+                counts[key] += trials_of(args, result)
+            return result
+
+        return owner, attr, original, wrapper
+
+    patches = [
+        counting(
+            kernel.SamplingPlan, "sample_ttf", "computed",
+            lambda args, result: args[1].trials,
+        ),
+        counting(
+            montecarlo, "estimate_from_moments", "folded",
+            lambda args, result: result.trials,
+        ),
+        counting(
+            montecarlo, "_estimate_from_samples", "folded",
+            lambda args, result: result.trials,
+        ),
+    ]
+    for owner, attr, _original, wrapper in patches:
+        setattr(owner, attr, wrapper)
+    try:
+        yield counts
+    finally:
+        for owner, attr, original, _wrapper in patches:
+            setattr(owner, attr, original)
 
 
 def benchmark_cases(trials: int, points: int, workers: int):
@@ -934,10 +988,25 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
         for name, metadata, thunk in benchmark_cases(
             args.trials, args.points, args.workers
         ):
-            seconds, result_set = _timed(thunk, args.repeat)
+            with _trial_counts() as counts:
+
+                def counted(thunk=thunk):
+                    counts.update(computed=0, folded=0)
+                    return thunk()
+
+                seconds, result_set = _timed(counted, args.repeat)
             record = {
                 "name": name, "seconds": round(seconds, 4), **metadata
             }
+            # Trials of the last repetition. A process pool draws in
+            # its workers, where the counter cannot see.
+            in_process = metadata["executor"] != "process"
+            record["computed_trials"] = (
+                counts["computed"] if in_process else None
+            )
+            record["folded_trials"] = (
+                counts["folded"] if in_process else None
+            )
             if "adaptive" in name:
                 trials_used = list(result_set.reference_trials().values())
                 record["reference_trials"] = {

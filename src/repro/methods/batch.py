@@ -20,10 +20,11 @@ with one uniform call, replacing the bespoke per-experiment loops. It
   moments are folded into a per-point
   :class:`~repro.core.montecarlo.MomentAccumulator` the moment they
   complete (no gather-all barrier), each fold feeds the run's
-  :class:`~repro.core.montecarlo.StoppingRule` so adaptive runs stop —
-  and cancel their unneeded chunks — as soon as the target precision is
-  reached, and every fold can emit a
-  :class:`~repro.methods.progress.ProgressEvent`,
+  :class:`~repro.core.montecarlo.StoppingRule` so adaptive runs stop
+  as soon as the target precision is reached, and every fold can emit a
+  :class:`~repro.methods.progress.ProgressEvent`; chunks are dispatched
+  on demand, a few in flight per open point (see :class:`_ChunkDispatch`),
+  so a point that stops has computed little beyond what it folded,
 * can run as one **fully-pipelined, work-conserving schedule**
   (``pipeline_methods=True`` / ``reallocate_budget=True``): method
   estimator tasks join the pool the moment their point's reference
@@ -207,6 +208,179 @@ def _finish_item(
     )
 
 
+class _PointState:
+    """Mutable per-point bookkeeping of the streaming reference paths."""
+
+    __slots__ = (
+        "index", "label", "system", "plan", "accumulator", "submitted",
+        "in_flight", "sampling_plan", "reference", "ref_key", "estimates",
+        "pending_methods", "methods_launched",
+    )
+
+    def __init__(self, index: int, label: str, system: SystemModel) -> None:
+        self.index = index
+        self.label = label
+        self.system = system
+        #: Chunk plan (mutable: budget grants append extension chunks).
+        self.plan: list[MonteCarloConfig] | None = None
+        self.accumulator: MomentAccumulator | None = None
+        #: How many plan chunks have been submitted to the pool.
+        self.submitted = 0
+        #: This point's chunk tasks submitted and not yet collected.
+        self.in_flight: set[Future] = set()
+        #: The compiled sampling plan, resolved on first dispatch.
+        self.sampling_plan: _kernel.SamplingPlan | None = None
+        self.reference: MTTFEstimate | None = None
+        self.ref_key: str | None = None
+        self.estimates: dict[str, MTTFEstimate] = {}
+        self.pending_methods: set[str] = set()
+        self.methods_launched = False
+
+
+class _ChunkDispatch:
+    """The one chunk-dispatch rule of both streaming reference paths.
+
+    Demand-driven: under a :class:`~repro.core.montecarlo.StoppingRule`
+    (``windowed``) an *open* point — one whose accumulator is not done —
+    keeps at most ``max(1, ceil(workers / open_points))`` single-chunk
+    tasks in flight, and every fold refills that window from the point's
+    plan. Many open points therefore speculate nothing (each computes
+    exactly the chunk it folds next), while a lone straggler still fills
+    the pool. Without a rule every chunk folds, so a point's whole
+    remaining plan goes out at once, coalesced by :func:`_plan_batches`
+    into at most ``workers`` compiled-plan tasks.
+
+    Refills happen inside :meth:`complete`, before the caller looks at
+    :attr:`live`, which gives the quiescent-barrier invariant: an open
+    point always has a task in flight, so ``live == 0`` implies every
+    open point has resolved its current plan (satisfied, exhausted or
+    censored). Dispatch decides only *when* a chunk runs, never which
+    chunks fold — the accumulator folds in chunk-index order — so no
+    number depends on the window.
+
+    New futures are added to the caller's ``waiting`` set; the caller
+    hands every completed future it finds in :attr:`tasks` back to
+    :meth:`complete`.
+    """
+
+    def __init__(
+        self, pool, workers: int, waiting: set[Future], use_plans: bool,
+        windowed: bool,
+    ) -> None:
+        self.pool = pool
+        self.workers = workers
+        self.waiting = waiting
+        #: Compiled-kernel dispatch through fingerprint-keyed plan
+        #: batches; ``legacy`` submits ``system_chunk_moments`` per chunk.
+        self.use_plans = use_plans
+        self.windowed = windowed
+        #: Points whose accumulator is not done.
+        self.open_points = 0
+        #: Outstanding chunk tasks (straggler-inclusive) -> their point
+        #: and ``(chunk_index, config)`` jobs.
+        self.tasks: dict[Future, tuple[_PointState, list]] = {}
+        #: Plan-carrying submissions so far, per plan cache key — after
+        #: ``workers`` of them every pool worker holds the plan and
+        #: later tasks ship a 64-byte key instead.
+        self._shipped: dict[str, int] = {}
+
+    @property
+    def live(self) -> int:
+        """Chunk tasks in flight anywhere; zero is a quiescent barrier."""
+        return len(self.tasks)
+
+    def open(self) -> None:
+        """Count one more point (newly planned, or reopened by a grant).
+
+        Open every point of a wave before filling any of them, so the
+        first windows already see the whole wave.
+        """
+        self.open_points += 1
+
+    def fill(self, state: _PointState) -> None:
+        """Submit ``state``'s next chunks up to its window."""
+        plan = state.plan
+        stop = len(plan)
+        if self.windowed:
+            # ceil(workers / open_points); workers >= 1, so never zero.
+            window = -(-self.workers // self.open_points)
+            stop = min(stop, state.submitted + window - len(state.in_flight))
+        if stop <= state.submitted:
+            return
+        jobs = [(index, plan[index]) for index in range(state.submitted, stop)]
+        state.submitted = stop
+        coalesce = self.use_plans and not self.windowed
+        for batch in _plan_batches(
+            jobs, self.workers if coalesce else len(jobs)
+        ):
+            self._submit(state, batch)
+
+    def _submit(self, state: _PointState, jobs, ship_plan=False) -> None:
+        if self.use_plans:
+            plan = state.sampling_plan
+            if plan is None:
+                plan = state.sampling_plan = _kernel.plan_for_system(
+                    state.system
+                )
+            key = plan.cache_key
+            payload = None
+            if ship_plan or self._shipped.get(key, 0) < self.workers:
+                payload = plan
+                self._shipped[key] = self._shipped.get(key, 0) + 1
+            future = self.pool.submit(
+                _kernel.run_plan_chunks, key, payload, jobs
+            )
+        else:
+            future = self.pool.submit(
+                system_chunk_moments, state.system, jobs[0][1]
+            )
+        self.tasks[future] = (state, jobs)
+        state.in_flight.add(future)
+        self.waiting.add(future)
+
+    def complete(self, future: Future) -> tuple[_PointState, int] | None:
+        """Collect one finished chunk task; fold it and refill the window.
+
+        A point the fold satisfied has its queued stragglers cancelled.
+        Returns ``(state, merged_before)`` when the task's moments were
+        offered to an open point's accumulator, ``None`` for a straggler
+        of an already-resolved point (never folded, never counted) or a
+        ``PLAN_MISS`` resubmission.
+        """
+        state, jobs = self.tasks.pop(future)
+        state.in_flight.discard(future)
+        accumulator = state.accumulator
+        if accumulator.done or future.cancelled():
+            return None
+        if self.use_plans:
+            status, pairs = future.result()
+            if status == _kernel.PLAN_MISS:
+                # Cold worker without the plan (spawn start method or an
+                # evicted cache entry): retry with the plan attached.
+                # Chunk moments are a pure function of the chunk configs,
+                # so nothing downstream moves.
+                self._submit(state, jobs, ship_plan=True)
+                return None
+        else:
+            pairs = [(jobs[0][0], future.result())]
+        merged_before = accumulator.merged_chunks
+        for chunk_index, moments in pairs:
+            if accumulator.add(chunk_index, moments):
+                # Later pairs of this batch are stragglers exactly like
+                # late futures: never folded, never counted.
+                break
+        if not accumulator.done:
+            self.fill(state)
+            return state, merged_before
+        self.open_points -= 1
+        if accumulator.stopped_early:
+            # Only a straggler still queued behind other work is saved
+            # here; the window is what keeps stragglers rare.
+            for leftover in state.in_flight:
+                leftover.cancel()
+        return state, merged_before
+
+
 def _stream_chunked_references(
     items: Sequence[tuple[str, SystemModel]],
     pending: Sequence[int],
@@ -218,129 +392,59 @@ def _stream_chunked_references(
 ) -> None:
     """Streaming reduction of chunked Monte-Carlo references.
 
-    Every pending point's *base* chunk plan (the fixed-chunking split)
-    is submitted up front; chunk moments fold into that point's
-    :class:`MomentAccumulator` as they complete — in chunk-index order,
-    so the merged moments (and any early-stop decision) are identical
-    to a serial run regardless of completion order. A point whose
-    stopping rule is satisfied finalizes immediately and cancels its
-    not-yet-started chunks (already-running stragglers finish in the
-    pool and are ignored); a point that exhausts its submitted chunks
-    without meeting the rule lazily submits its next slice of
-    extension chunks (up to the ``max_trials`` budget), so a run that
-    stops early never speculatively executes its extension tail.
+    Every pending point's chunk plan is dispatched on demand by
+    :class:`_ChunkDispatch`: under a stopping rule at most
+    ``ceil(workers / open_points)`` chunks in flight per open point,
+    refilled on every fold (the ``max_trials`` tail included); without
+    one, the whole plan at once in coalesced batches. Chunk moments fold
+    into the point's :class:`MomentAccumulator` as they complete — in
+    chunk-index order, so the merged moments (and any early-stop
+    decision) are identical to a serial run regardless of completion
+    order. A point whose stopping rule is satisfied finalizes
+    immediately; its stragglers are ignored (and cancelled if still
+    queued).
 
     With a compiled kernel selected (``mc.kernel != "legacy"``) chunk
-    tasks dispatch through fingerprint-cached
-    :class:`~repro.core.kernel.SamplingPlan` batches
-    (:func:`~repro.core.kernel.run_plan_chunks`): contiguous chunk
-    slices coalesce into at most ``workers`` pool tasks, the plan
-    itself ships only until every worker has been hydrated (a key-only
+    tasks run :func:`~repro.core.kernel.run_plan_chunks` against the
+    point's fingerprint-cached :class:`~repro.core.kernel.SamplingPlan`,
+    which ships only until every worker has been hydrated (a key-only
     task that lands on a cold worker comes back as ``PLAN_MISS`` and is
-    resubmitted with the plan attached), and each batch's moments fold
-    front to back — the accumulator orders folds by chunk index, so
-    every number downstream is bit-identical to the unbatched path.
+    resubmitted with the plan attached).
     """
     plan = adaptive_chunk_configs(mc)
-    # The fixed plan has min(chunks, trials) chunks (see chunk_configs);
-    # truncated budgets make the whole plan shorter still.
-    base_count = min(mc.chunks, mc.trials, len(plan))
     label = f"monte_carlo[{mc.method}]"
-    accumulators = {
-        index: MomentAccumulator(len(plan), mc.stopping)
-        for index in pending
-    }
-    batched = mc.kernel != "legacy"
-    plans = (
-        {index: _kernel.plan_for_system(items[index][1]) for index in pending}
-        if batched
-        else {}
+    waiting: set[Future] = set()
+    dispatch = _ChunkDispatch(
+        pool, workers, waiting, mc.kernel != "legacy", mc.adaptive
     )
-    shipped: dict[str, int] = {}
-    submitted_chunks: dict[int, int] = {index: 0 for index in pending}
-    futures_of: dict[int, list[Future]] = {index: [] for index in pending}
-    future_meta: dict[Future, tuple] = {}
-
-    def submit_batch(index, jobs, ship_plan=False) -> Future:
-        point_plan = plans[index]
-        key = point_plan.cache_key
-        payload = None
-        if ship_plan or shipped.get(key, 0) < workers:
-            payload = point_plan
-            shipped[key] = shipped.get(key, 0) + 1
-        future = pool.submit(_kernel.run_plan_chunks, key, payload, jobs)
-        futures_of[index].append(future)
-        future_meta[future] = (index, jobs)
-        return future
-
-    def submit_chunks(index: int, count: int) -> list[Future]:
-        start = submitted_chunks[index]
-        stop = min(start + count, len(plan))
-        submitted_chunks[index] = stop
-        futures = []
-        if batched:
-            jobs = [(ci, plan[ci]) for ci in range(start, stop)]
-            for batch in _plan_batches(jobs, workers):
-                futures.append(submit_batch(index, batch))
-            return futures
-        for chunk_index in range(start, stop):
-            future = pool.submit(
-                system_chunk_moments, items[index][1], plan[chunk_index]
-            )
-            futures_of[index].append(future)
-            future_meta[future] = (index, chunk_index)
-            futures.append(future)
-        return futures
-
+    states = []
     for index in pending:
+        state = _PointState(index, *items[index])
+        state.plan = plan
+        state.accumulator = MomentAccumulator(len(plan), mc.stopping)
+        states.append(state)
         _emit(
             progress,
-            ProgressEvent(
-                items[index][0], POINT_START, total_chunks=len(plan)
-            ),
+            ProgressEvent(state.label, POINT_START, total_chunks=len(plan)),
         )
-        submit_chunks(index, base_count)
-    waiting = set(future_meta)
+        dispatch.open()
+    for state in states:
+        dispatch.fill(state)
     while waiting:
-        completed, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+        completed, _ = wait(waiting, return_when=FIRST_COMPLETED)
+        waiting -= completed
         for future in completed:
-            index = future_meta[future][0]
-            accumulator = accumulators[index]
-            if accumulator.done or future.cancelled():
-                continue  # straggler of an already-finalized point
-            if batched:
-                status, payload = future.result()
-                if status == _kernel.PLAN_MISS:
-                    # Cold worker without the plan (spawn start method
-                    # or an evicted cache entry): retry with the plan
-                    # attached. Chunk moments are a pure function of
-                    # the chunk configs, so nothing downstream moves.
-                    waiting.add(
-                        submit_batch(
-                            index, future_meta[future][1], ship_plan=True
-                        )
-                    )
-                    continue
-                pairs = payload
-            else:
-                pairs = [(future_meta[future][1], future.result())]
-            merged_before = accumulator.merged_chunks
-            done = False
-            for chunk_index, moments in pairs:
-                done = accumulator.add(chunk_index, moments)
-                if done:
-                    # Later pairs of this batch are stragglers exactly
-                    # like late futures: never folded, never counted.
-                    break
-            if done:
-                references[index] = accumulator.estimate(label)
-                if accumulator.stopped_early:
-                    for leftover in futures_of[index]:
-                        leftover.cancel()
+            folded = dispatch.complete(future)
+            if folded is None:
+                continue
+            state, merged_before = folded
+            accumulator = state.accumulator
+            if accumulator.done:
+                references[state.index] = accumulator.estimate(label)
                 _emit(
                     progress,
                     ProgressEvent(
-                        items[index][0],
+                        state.label,
                         POINT_DONE,
                         merged_chunks=accumulator.merged_chunks,
                         total_chunks=len(plan),
@@ -349,12 +453,11 @@ def _stream_chunked_references(
                         stopped_early=accumulator.stopped_early,
                     ),
                 )
-                continue
-            if accumulator.merged_chunks > merged_before:
+            elif accumulator.merged_chunks > merged_before:
                 _emit(
                     progress,
                     ProgressEvent(
-                        items[index][0],
+                        state.label,
                         CHUNK_MERGED,
                         merged_chunks=accumulator.merged_chunks,
                         total_chunks=len(plan),
@@ -362,12 +465,6 @@ def _stream_chunked_references(
                         rel_stderr=relative_stderr(accumulator.moments),
                     ),
                 )
-            if accumulator.merged_chunks == submitted_chunks[index]:
-                # Every submitted chunk has merged and the target is
-                # still unmet: release the next extension slice. One
-                # pool-width at a time keeps the workers busy without
-                # speculating the whole tail.
-                waiting |= set(submit_chunks(index, max(1, workers)))
 
 
 def _process_references(
@@ -458,31 +555,6 @@ def _process_references(
     return references  # type: ignore[return-value]
 
 
-class _PointState:
-    """Mutable per-point bookkeeping for the pipelined scheduler."""
-
-    __slots__ = (
-        "index", "label", "system", "plan", "accumulator", "submitted",
-        "reference", "ref_key", "estimates", "pending_methods",
-        "methods_launched",
-    )
-
-    def __init__(self, index: int, label: str, system: SystemModel) -> None:
-        self.index = index
-        self.label = label
-        self.system = system
-        #: Chunk plan (mutable: budget grants append extension chunks).
-        self.plan: list[MonteCarloConfig] | None = None
-        self.accumulator: MomentAccumulator | None = None
-        #: How many plan chunks have been submitted to the pool.
-        self.submitted = 0
-        self.reference: MTTFEstimate | None = None
-        self.ref_key: str | None = None
-        self.estimates: dict[str, MTTFEstimate] = {}
-        self.pending_methods: set[str] = set()
-        self.methods_launched = False
-
-
 class _PipelinedScheduler:
     """Work-conserving sweep scheduler: one pool, three work kinds.
 
@@ -490,8 +562,10 @@ class _PipelinedScheduler:
 
     * **reference chunks** — every pending point's Monte-Carlo chunk
       plan streams through a per-point :class:`MomentAccumulator`
-      exactly as the classic process path does (in-order folds,
-      early-stop cancellation, lazy ``max_trials`` extension);
+      exactly as the classic process path does: the same
+      :class:`_ChunkDispatch` rule (at most ``ceil(workers /
+      open_points)`` chunks in flight per open point under a stopping
+      rule, refilled on every fold) and the same in-order folds;
     * **method estimates** (``pipeline_methods``) — the moment a
       point's reference finalizes, its per-method estimator tasks join
       the same pool and :class:`MethodComparison` inputs are recorded
@@ -504,9 +578,12 @@ class _PipelinedScheduler:
     Determinism: chunk moments fold strictly in chunk-index order per
     point (the PR-3 invariant), and re-allocation fires only at
     *quiescent barriers* — moments when no reference chunk is in flight
-    anywhere, which can only occur once every point has
+    anywhere. Every fold refills its point's window before the loop
+    checks for a barrier, so an open point always has a chunk in
+    flight and a barrier can only occur once every point has
     deterministically resolved its current plan (satisfied, exhausted,
-    or censored). The ledger total, the candidate set, the
+    or censored). Grant and extension chunks go through the same
+    window. The ledger total, the candidate set, the
     least-converged ordering, and the round-robin grants are therefore
     pure functions of the configuration, never of worker count,
     executor, or completion order. Extension chunk seeds are spawned by
@@ -596,21 +673,12 @@ class _PipelinedScheduler:
         self._adoption_lock = threading.Lock()
         self.pool = None
         self.waiting: set[Future] = set()
+        #: Reference and method futures; chunk tasks live in
+        #: :attr:`dispatch`.
         self.future_meta: dict[Future, tuple] = {}
-        self.chunk_futures: dict[int, list[Future]] = {}
-        #: Outstanding reference-chunk (or batched-plan) futures
-        #: (straggler-inclusive); zero means a quiescent barrier for
-        #: re-allocation purposes.
-        self.live_chunks = 0
-        #: Compiled-kernel dispatch: chunk slices coalesce into
-        #: fingerprint-keyed plan batches (see module helper
-        #: :func:`_plan_batches`); ``legacy`` keeps per-chunk
-        #: ``system_chunk_moments`` submissions as the benchmark axis.
-        self.use_plans = self.chunked and mc.kernel != "legacy"
-        #: Plan-carrying submissions so far, per plan cache key —
-        #: after ``workers`` of them every pool worker holds the plan
-        #: and steady-state batches ship a 64-byte key instead.
-        self._plan_shipped: dict[str, int] = {}
+        #: Reference-chunk dispatch (set once the pool is open); its
+        #: ``live`` count reaching zero is a quiescent barrier.
+        self.dispatch: _ChunkDispatch | None = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -699,11 +767,8 @@ class _PipelinedScheduler:
                     state.label, POINT_START, total_chunks=len(state.plan)
                 )
             )
-            base_count = min(
-                self.config.mc.chunks, self.config.mc.trials,
-                len(state.plan),
-            )
-            self._submit_chunks(state, base_count)
+            # Dispatched once every point is open (see _run_schedule).
+            self.dispatch.open()
             return
         self._emit(ProgressEvent(state.label, POINT_START))
         if not self.backend.shares_memory:
@@ -718,44 +783,6 @@ class _PipelinedScheduler:
             )
         self.future_meta[future] = ("reference", state.index)
         self.waiting.add(future)
-
-    def _submit_chunks(self, state: _PointState, count: int) -> None:
-        futures = self.chunk_futures.setdefault(state.index, [])
-        start = state.submitted
-        stop = min(start + count, len(state.plan))
-        state.submitted = stop
-        if self.use_plans:
-            jobs = [
-                (chunk_index, state.plan[chunk_index])
-                for chunk_index in range(start, stop)
-            ]
-            for batch in _plan_batches(jobs, self.workers):
-                self._submit_batch(state, batch)
-            return
-        for chunk_index in range(start, stop):
-            future = self.pool.submit(
-                system_chunk_moments, state.system, state.plan[chunk_index]
-            )
-            self.future_meta[future] = ("chunk", state.index, chunk_index)
-            futures.append(future)
-            self.waiting.add(future)
-            self.live_chunks += 1
-
-    def _submit_batch(self, state: _PointState, jobs, ship_plan=False):
-        """Submit one batched-plan task for a contiguous chunk slice."""
-        plan = _kernel.plan_for_system(state.system)
-        key = plan.cache_key
-        payload = None
-        if ship_plan or self._plan_shipped.get(key, 0) < self.workers:
-            payload = plan
-            self._plan_shipped[key] = self._plan_shipped.get(key, 0) + 1
-        future = self.pool.submit(
-            _kernel.run_plan_chunks, key, payload, jobs
-        )
-        self.future_meta[future] = ("batch", state.index, jobs)
-        self.chunk_futures.setdefault(state.index, []).append(future)
-        self.waiting.add(future)
-        self.live_chunks += 1
 
     def _launch_methods(self, state: _PointState) -> None:
         if not self.pipeline_methods or state.methods_launched:
@@ -834,18 +861,21 @@ class _PipelinedScheduler:
 
     # -- completions -------------------------------------------------------
 
-    def _on_chunk(self, future: Future, index: int, chunk_index: int) -> None:
-        self.live_chunks -= 1
-        state = self.points[index]
-        accumulator = state.accumulator
-        if accumulator.done or future.cancelled():
-            # Straggler of an already-resolved point: its moments are
-            # never folded and never counted — merged_chunks is always
-            # the accumulator's fold count, nothing else.
+    def _on_chunks(self, future: Future) -> None:
+        """Fold one chunk task's moments (see :meth:`_ChunkDispatch.complete`).
+
+        The dispatcher has already refilled the point's window when this
+        returns, so the barrier check that follows sees every open point
+        with work in flight.
+        """
+        folded = self.dispatch.complete(future)
+        if folded is None:
+            # Straggler of an already-resolved point or a PLAN_MISS
+            # resubmission: nothing folded, nothing to report.
             return
-        merged_before = accumulator.merged_chunks
-        done = accumulator.add(chunk_index, future.result())
-        if done:
+        state, merged_before = folded
+        accumulator = state.accumulator
+        if accumulator.done:
             if accumulator.satisfied or not self._defer_exhausted():
                 self._finalize_reference(state)
             # else: exhausted without meeting the rule — stay open for
@@ -862,56 +892,6 @@ class _PipelinedScheduler:
                     rel_stderr=relative_stderr(accumulator.moments),
                 )
             )
-        if accumulator.merged_chunks == state.submitted:
-            # Every submitted chunk has merged and the target is still
-            # unmet: release the next extension slice. One pool-width
-            # at a time keeps the workers busy without speculating the
-            # whole tail.
-            self._submit_chunks(state, max(1, self.workers))
-
-    def _on_batch(self, future: Future, index: int, jobs) -> None:
-        """Fold one batched-plan result (the compiled-kernel path).
-
-        The result pairs arrive in ascending chunk-index order and fold
-        front to back; the accumulator orders folds by chunk index
-        across batches, so the merged moments, the stop decision, and
-        the extension schedule are bit-identical to per-chunk dispatch.
-        """
-        self.live_chunks -= 1
-        state = self.points[index]
-        accumulator = state.accumulator
-        if accumulator.done or future.cancelled():
-            return
-        status, payload = future.result()
-        if status == _kernel.PLAN_MISS:
-            # Cold worker without the plan (spawn start method or an
-            # evicted cache entry): retry with the plan attached.
-            self._submit_batch(state, jobs, ship_plan=True)
-            return
-        merged_before = accumulator.merged_chunks
-        done = False
-        for chunk_index, moments in payload:
-            done = accumulator.add(chunk_index, moments)
-            if done:
-                # Later pairs of this batch are stragglers exactly like
-                # late futures: never folded, never counted.
-                break
-        if done:
-            if accumulator.satisfied or not self._defer_exhausted():
-                self._finalize_reference(state)
-            return
-        if accumulator.merged_chunks > merged_before:
-            self._emit(
-                ProgressEvent(
-                    state.label, CHUNK_MERGED,
-                    merged_chunks=accumulator.merged_chunks,
-                    total_chunks=accumulator.total_chunks,
-                    trials=accumulator.moments.count,
-                    rel_stderr=relative_stderr(accumulator.moments),
-                )
-            )
-        if accumulator.merged_chunks == state.submitted:
-            self._submit_chunks(state, max(1, self.workers))
 
     def _on_reference(self, future: Future, index: int) -> None:
         state = self.points[index]
@@ -947,16 +927,13 @@ class _PipelinedScheduler:
         accumulator = state.accumulator
         state.reference = accumulator.estimate(self.mc_label)
         if self.reallocate:
-            # Unspent plan trials (cancelled or never-submitted chunks)
-            # return to the shared ledger. A straggler chunk that was
-            # already running when the rule fired is credited too: the
-            # ledger tracks the *logical* budget, so the decision stays
-            # a pure function of the configuration.
+            # Unspent plan trials (never-dispatched chunks) return to
+            # the shared ledger. A straggler chunk that was already in
+            # flight when the rule fired is credited too: the ledger
+            # tracks the *logical* budget, so the decision stays a pure
+            # function of the configuration.
             planned = sum(chunk.trials for chunk in state.plan)
             self.ledger += max(0, planned - accumulator.moments.count)
-        if accumulator.stopped_early:
-            for leftover in self.chunk_futures.get(state.index, ()):
-                leftover.cancel()
         if self.xledger is not None:
             self._xshard_converged.append(
                 (
@@ -1011,33 +988,41 @@ class _PipelinedScheduler:
         ranked.sort(key=lambda pair: (-pair[0], pair[1].index))
         return ranked
 
-    def _apply_grant(
-        self, state: _PointState, sizes: Sequence[int], kind: str
+    def _apply_grants(
+        self,
+        grants: Sequence[tuple[_PointState, Sequence[int]]],
+        kind: str,
     ) -> None:
-        """Extend one point's plan with granted chunks and submit them.
+        """Extend the granted points' plans, then dispatch the extensions.
 
-        ``kind`` distinguishes the funding pool in the progress stream:
-        ``budget-reallocated`` for shard-local grants,
-        ``budget-claimed`` for cross-shard ledger grants.
+        ``grants`` pairs each granted point with its chunk sizes, in
+        ranking order. ``kind`` distinguishes the funding pool in the
+        progress stream: ``budget-reallocated`` for shard-local grants,
+        ``budget-claimed`` for cross-shard ledger grants. Every granted
+        point reopens before any is filled, so the extension windows
+        are sized for the whole granted set.
         """
-        state.plan.extend(
-            extension_chunk_configs(
-                self.config.mc, len(state.plan), sizes
+        for state, sizes in grants:
+            state.plan.extend(
+                extension_chunk_configs(
+                    self.config.mc, len(state.plan), sizes
+                )
             )
-        )
-        state.accumulator.extend_plan(len(sizes))
-        self._emit(
-            ProgressEvent(
-                state.label, kind,
-                merged_chunks=state.accumulator.merged_chunks,
-                total_chunks=state.accumulator.total_chunks,
-                trials=state.accumulator.moments.count,
-                rel_stderr=state.accumulator.moments.rel_stderr,
-                granted_trials=sum(sizes),
-                granted_chunks=len(sizes),
+            state.accumulator.extend_plan(len(sizes))
+            self._emit(
+                ProgressEvent(
+                    state.label, kind,
+                    merged_chunks=state.accumulator.merged_chunks,
+                    total_chunks=state.accumulator.total_chunks,
+                    trials=state.accumulator.moments.count,
+                    rel_stderr=state.accumulator.moments.rel_stderr,
+                    granted_trials=sum(sizes),
+                    granted_chunks=len(sizes),
+                )
             )
-        )
-        self._submit_chunks(state, len(sizes))
+            self.dispatch.open()
+        for state, _sizes in grants:
+            self.dispatch.fill(state)
 
     def _grant_round(self) -> bool:
         """Distribute the local ledger to the least-converged points.
@@ -1059,10 +1044,14 @@ class _PipelinedScheduler:
             self.grant_unit,
         )
         self.ledger = 0
-        for _deficit, state in ranked:
-            sizes = grants.get(state.index)
-            if sizes:
-                self._apply_grant(state, sizes, BUDGET_REALLOCATED)
+        self._apply_grants(
+            [
+                (state, grants[state.index])
+                for _deficit, state in ranked
+                if grants.get(state.index)
+            ],
+            BUDGET_REALLOCATED,
+        )
         return True
 
     # -- cross-shard budget ledger -----------------------------------------
@@ -1134,10 +1123,14 @@ class _PipelinedScheduler:
             }
             if mine:
                 ledger.record_claims(number, mine)
-                for _deficit, state in ranked:
-                    sizes = mine.get(self._global_index(state.index))
-                    if sizes:
-                        self._apply_grant(state, sizes, BUDGET_CLAIMED)
+                self._apply_grants(
+                    [
+                        (state, mine[self._global_index(state.index)])
+                        for _deficit, state in ranked
+                        if mine.get(self._global_index(state.index))
+                    ],
+                    BUDGET_CLAIMED,
+                )
                 return True
             if not grants or not ranked:
                 # Protocol over (no grants anywhere), or every grant
@@ -1285,10 +1278,18 @@ class _PipelinedScheduler:
                 self.xledger.stop_heartbeat()
 
     def _run_schedule(self) -> tuple[MethodComparison, ...]:
+        mc = self.config.mc
         with self.backend.pool(self.workers) as pool:
             self.pool = pool
+            self.dispatch = _ChunkDispatch(
+                pool, self.workers, self.waiting,
+                mc.kernel != "legacy", mc.adaptive,
+            )
             for state in self.points:
                 self._start_point(state)
+            for state in self.points:
+                if state.accumulator is not None:
+                    self.dispatch.fill(state)
             while True:
                 if not self.waiting:
                     if self.chunked:
@@ -1298,20 +1299,23 @@ class _PipelinedScheduler:
                             # Finalizing may pipeline method tasks.
                             continue
                     break
-                completed, self.waiting = wait(
+                completed, _ = wait(
                     self.waiting, return_when=FIRST_COMPLETED
                 )
+                self.waiting -= completed
                 for future in completed:
+                    if future in self.dispatch.tasks:
+                        self._on_chunks(future)
+                        continue
                     meta = self.future_meta.pop(future)
-                    if meta[0] == "chunk":
-                        self._on_chunk(future, meta[1], meta[2])
-                    elif meta[0] == "batch":
-                        self._on_batch(future, meta[1], meta[2])
-                    elif meta[0] == "reference":
+                    if meta[0] == "reference":
                         self._on_reference(future, meta[1])
                     else:
                         self._on_method(future, meta[1], meta[2])
-                if self.live_chunks == 0 and self.reallocate and (
+                # Every fold above refilled its point's window, so no
+                # chunk in flight means every open point has resolved
+                # its current plan: a quiescent barrier.
+                if self.dispatch.live == 0 and self.reallocate and (
                     self.chunked
                 ):
                     if not self._budget_round():

@@ -1,14 +1,18 @@
 """Pipelined work-conserving scheduler tests (PR-4 tentpole).
 
 Covers the three scheduler features — method estimates streamed into
-the pool as references finalize, cancelled-chunk budget re-allocated to
-the least-converged stragglers, shard-aware disk-cache prewarming —
-plus the acceptance bars: bit-identity across worker counts and
-executors, exact reproduction of the phased (PR-3) engine when both
-features are disabled, and budget conservation.
+the pool as references finalize, unspent early-stop budget re-allocated
+to the least-converged stragglers, shard-aware disk-cache prewarming —
+plus demand-driven chunk dispatch (a sweep whose points converge
+computes only the chunks it folds) and the acceptance bars:
+bit-identity across worker counts and executors, exact reproduction
+of the phased engine when both features are disabled, and
+budget conservation.
 """
 
 import math
+import threading
+import time
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.core import (
     extension_chunk_config,
     grant_chunk_trials,
 )
+from repro.core.kernel import SamplingPlan
 from repro.errors import EstimationError
 from repro.masking import busy_idle_profile
 from repro.methods import (
@@ -616,3 +621,126 @@ class TestPrewarmAndPublication:
         fanned = evaluate_design_space(cluster_space, workers=3, **kwargs)
         assert serial == fanned
         assert serial.shard == (0, 2)
+
+
+class TestDemandDrivenDispatch:
+    """Under a stopping rule an open point keeps at most
+    ``ceil(workers / open_points)`` chunks in flight: many open points
+    compute only the chunks they fold, a lone straggler fills the
+    pool, and neither changes a single bit of the result."""
+
+    @staticmethod
+    def _count_chunks(monkeypatch, delay: float = 0.0):
+        """Patch ``SamplingPlan.chunk_moments`` to record every chunk
+        computed and the peak number computing at once."""
+        original = SamplingPlan.chunk_moments
+        lock = threading.Lock()
+        record = {"trials": [], "running": 0, "peak": 0}
+
+        def counted(self, config):
+            with lock:
+                record["trials"].append(config.trials)
+                record["running"] += 1
+                record["peak"] = max(record["peak"], record["running"])
+            try:
+                if delay:
+                    time.sleep(delay)
+                return original(self, config)
+            finally:
+                with lock:
+                    record["running"] -= 1
+
+        monkeypatch.setattr(SamplingPlan, "chunk_moments", counted)
+        return record
+
+    def test_converged_points_compute_only_what_they_fold(
+        self, cluster_space, monkeypatch
+    ):
+        # Every point meets the 5% target on its first 1000-trial
+        # chunk, so with five open points and two workers nothing
+        # beyond chunk 0 may ever be computed.
+        mc = MonteCarloConfig(
+            trials=8_000,
+            seed=3,
+            chunks=8,
+            stopping=StoppingRule(target_rel_stderr=0.05),
+        )
+        record = self._count_chunks(monkeypatch)
+        result = evaluate_design_space(
+            cluster_space,
+            methods=["first_principles"],
+            mc_config=mc,
+            workers=2,
+            executor="thread",
+            pipeline_methods=True,
+            reallocate_budget=True,
+        )
+        folded = result.reference_trials()
+        assert set(folded.values()) == {1_000}
+        assert len(record["trials"]) == len(cluster_space)
+        assert sum(record["trials"]) == sum(folded.values())
+
+    def test_lone_straggler_fills_the_pool(
+        self, cluster_space, monkeypatch
+    ):
+        # One open point that never meets its target: its window is
+        # the whole pool, so two of its chunks run at the same time.
+        mc = MonteCarloConfig(
+            trials=8_000,
+            seed=3,
+            chunks=8,
+            stopping=StoppingRule(target_rel_stderr=1e-9),
+        )
+        record = self._count_chunks(monkeypatch, delay=0.05)
+        result = evaluate_design_space(
+            cluster_space[:1],
+            methods=["first_principles"],
+            mc_config=mc,
+            workers=2,
+            executor="thread",
+            pipeline_methods=True,
+        )
+        assert result.reference_trials() == {"C=2": 8_000}
+        assert sum(record["trials"]) == 8_000
+        assert record["peak"] >= 2
+
+    def test_more_stragglers_than_workers_is_identical(self, day_profile):
+        # Six points exhaust their base budget and receive grants over
+        # two rounds, more open stragglers than any pool below is wide:
+        # grant chunks go through the window at every width, and the
+        # bytes never move.
+        rate = 2.0 / SECONDS_PER_DAY
+        space = [
+            (
+                f"C={c}",
+                SystemModel(
+                    [Component("node", rate, day_profile, multiplicity=c)]
+                ),
+            )
+            for c in (2, 3, 4, 5, 6, 7, 100, 300, 1000, 3000, 10000, 30000)
+        ]
+        mc = MonteCarloConfig(
+            trials=4_000,
+            seed=5,
+            chunks=8,
+            stopping=StoppingRule(target_ci_halfwidth=150.0),
+        )
+        kwargs = dict(
+            methods=["first_principles"],
+            mc_config=mc,
+            pipeline_methods=True,
+            reallocate_budget=True,
+        )
+        events: list[ProgressEvent] = []
+        serial = evaluate_design_space(
+            space, workers=1, progress=events.append, **kwargs
+        )
+        granted = {e.label for e in events if e.kind == BUDGET_REALLOCATED}
+        assert len(granted) > 4
+        for executor, workers in (
+            ("thread", 2), ("thread", 4), ("process", 2)
+        ):
+            other = evaluate_design_space(
+                space, workers=workers, executor=executor, **kwargs
+            )
+            assert other.to_json() == serial.to_json(), (executor, workers)
