@@ -13,18 +13,28 @@ Crucially, SoftArch never assumes uniform vulnerability (the AVF step) or
 exponential per-component failure times (the SOFR step). This module
 implements the model's event-accumulation core:
 
-* :class:`SoftArchTimeline` — a chronologically ordered list of
-  potential-failure events within one workload iteration, folded into an
+* :class:`SoftArchTimeline` — the potential-failure events within one
+  workload iteration, kept as three float64 columns (``time``,
+  ``probability``, ``mean_time``) in chronological order, folded into an
   MTTF by forward survival accumulation plus a geometric continuation
   over subsequent iterations (``MTTF = m1 + L(1-q)/q``);
-* :func:`softarch_mttf` — derives the event list for a whole system from
+* :func:`softarch_mttf` — derives the events for a whole system from
   the combined failure intensity, one event per elementary interval in
   which every component's vulnerability is constant, so events never
-  overlap and the fold is exact;
+  overlap and the fold is exact. Every segment of a piecewise intensity
+  becomes an event in one array pass; nested intensities replicate an
+  inner block by broadcasting, or collapse it into one aggregate event;
 * the instruction-level value-graph frontend (error generation on
   register residency, propagation along data dependences, output events
   at stores/branches) lives in :mod:`repro.core.softarch_values` and
   produces the same :class:`SoftArchTimeline`.
+
+The columns give the same bits as folding one :class:`OutputEvent` at a
+time: only IEEE basic operations (``+ - * /``, comparisons, ``minimum``)
+run as NumPy array operations, sums and products accumulate left to
+right (``cumsum``/``cumprod``), and every transcendental (``expm1``,
+``log1p``, the Taylor cube) goes through :mod:`math` element by element,
+because NumPy's SIMD versions differ from libm in the last bit.
 
 The fold is deliberately a *different code path* from the closed-form
 renewal integral in :mod:`repro.core.firstprinciples`: the paper uses
@@ -36,7 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from ..errors import EstimationError
 from ..masking.profile import VulnerabilityProfile
@@ -83,27 +96,115 @@ class OutputEvent:
             )
 
 
+class _EventColumns(NamedTuple):
+    """Output events as parallel float64 columns."""
+
+    time: np.ndarray
+    probability: np.ndarray
+    mean_time: np.ndarray
+
+    @classmethod
+    def of(cls, events) -> "_EventColumns":
+        rows = [(e.time, e.probability, e.mean_time) for e in events]
+        table = np.array(rows, dtype=float).reshape(len(rows), 3)
+        return cls(table[:, 0], table[:, 1], table[:, 2])
+
+    @classmethod
+    def concat(cls, parts: list["_EventColumns"]) -> "_EventColumns":
+        if not parts:
+            return cls(*(np.empty(0) for _ in cls._fields))
+        return cls(*(np.concatenate(column) for column in zip(*parts)))
+
+    def checked(self) -> "_EventColumns":
+        """Apply :class:`OutputEvent`'s checks to every row.
+
+        The first failing row is rebuilt as an :class:`OutputEvent`, so
+        it raises exactly what constructing the events one by one would.
+        """
+        time, prob, mean = self
+        bad = ~((prob >= 0.0) & (prob <= 1.0))
+        bad |= time < 0
+        bad |= mean > time * (1 + 1e-9)
+        if bad.any():
+            row = int(np.argmax(bad))
+            OutputEvent(float(time[row]), float(prob[row]), float(mean[row]))
+        return self
+
+    def shifted(self, shifts: np.ndarray) -> "_EventColumns":
+        """The block repeated once per shift (shift-major), checked."""
+        reps = shifts.size
+        return _EventColumns(
+            (shifts[:, None] + self.time[None, :]).ravel(),
+            np.tile(self.probability, reps),
+            (shifts[:, None] + self.mean_time[None, :]).ravel(),
+        ).checked()
+
+
+def _libm(function, values: np.ndarray, *args) -> np.ndarray:
+    """``function(v, *args)`` on each element as a Python float.
+
+    Keeps transcendentals on the platform libm, bit for bit; NumPy's
+    SIMD ``expm1``/``log1p``/``**`` can differ in the last bit.
+    """
+    return np.fromiter(
+        map(function, values.tolist(), *(repeat(a) for a in args)),
+        dtype=float,
+        count=values.size,
+    )
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + v0 + v1 + …`` added left to right, like a Python loop.
+
+    ``np.sum`` adds pairwise; ``cumsum`` accumulates in order. The
+    leading ``0.0`` only matters for an all-``-0.0`` column.
+    """
+    return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _fold(
+    probability: np.ndarray, mean_time: np.ndarray
+) -> tuple[float, float]:
+    """Forward survival fold over chronologically ordered events.
+
+    ``P(first failure = event j) = p_j · Π_{i<j}(1 - p_i)``; returns the
+    total failure probability ``q`` and ``Σ_j P(first = j) · m_j``.
+    """
+    p_here = probability.copy()
+    p_here[1:] *= np.cumprod(1.0 - probability[:-1])
+    return _sequential_sum(p_here), _sequential_sum(p_here * mean_time)
+
+
 class SoftArchTimeline:
     """Per-iteration output-event timeline folded into an MTTF.
 
-    Events must cover disjoint, chronologically ordered intervals (the
-    builders below guarantee this). The fold walks the events once:
-    ``P(first failure = event j) = p_j · Π_{i<j}(1 - p_i)``, giving the
-    iteration failure probability ``q`` and the conditional mean failure
-    time ``m1``; independent identical iterations then give
+    Events must cover disjoint intervals (the builders below guarantee
+    this); they are sorted by time, stably. The fold walks the events
+    once: ``P(first failure = event j) = p_j · Π_{i<j}(1 - p_i)``, giving
+    the iteration failure probability ``q`` and the conditional mean
+    failure time ``m1``; independent identical iterations then give
 
         ``MTTF = m1 + L · (1 - q) / q``.
+
+    ``events`` is a sequence of :class:`OutputEvent`; this module's
+    builders pass checked columns instead.
     """
 
     def __init__(self, events: Sequence[OutputEvent], period: float):
         if period <= 0:
             raise EstimationError(f"period must be positive, got {period}")
-        self._events = sorted(events, key=lambda e: e.time)
-        for event in self._events:
-            if event.time > period * (1 + 1e-9):
-                raise EstimationError(
-                    f"event at {event.time} outside iteration of {period}"
-                )
+        if not isinstance(events, _EventColumns):
+            events = _EventColumns.of(events)
+        order = np.argsort(events.time, kind="stable")
+        self._time, self._probability, self._mean_time = (
+            column[order] for column in events
+        )
+        outside = self._time > period * (1 + 1e-9)
+        if outside.any():
+            first = float(self._time[np.argmax(outside)])
+            raise EstimationError(
+                f"event at {first} outside iteration of {period}"
+            )
         self._period = float(period)
 
     @property
@@ -112,31 +213,29 @@ class SoftArchTimeline:
 
     @property
     def events(self) -> list[OutputEvent]:
-        return list(self._events)
+        return [
+            OutputEvent(t, p, m)
+            for t, p, m in zip(
+                self._time.tolist(),
+                self._probability.tolist(),
+                self._mean_time.tolist(),
+            )
+        ]
 
     @property
     def event_count(self) -> int:
-        return len(self._events)
+        return self._time.size
 
     def iteration_failure_probability(self) -> float:
         """``q``: probability one iteration fails, by forward survival."""
-        log_survival = 0.0
-        for event in self._events:
-            if event.probability >= 1.0:
-                return 1.0
-            log_survival += math.log1p(-event.probability)
-        return -math.expm1(log_survival)
+        if (self._probability >= 1.0).any():
+            return 1.0
+        log_terms = _libm(math.log1p, -self._probability)
+        return -math.expm1(_sequential_sum(log_terms))
 
     def mttf(self) -> float:
         """Expected time to first failure over looped iterations."""
-        survival = 1.0
-        weighted_time = 0.0
-        q = 0.0
-        for event in self._events:
-            p_here = survival * event.probability
-            weighted_time += p_here * event.mean_time
-            q += p_here
-            survival *= 1.0 - event.probability
+        q, weighted_time = _fold(self._probability, self._mean_time)
         if q <= 0.0:
             return math.inf
         m1 = weighted_time / q
@@ -148,7 +247,7 @@ class SoftArchTimeline:
 # ---------------------------------------------------------------------------
 
 
-def _truncated_exp_mean_fraction(x: float) -> float:
+def _truncated_exp_mean_fraction(x):
     """Mean of a truncated Exp(1) on [0, 1] with total hazard ``x``.
 
     ``g(x) = 1/x - 1/(e^x - 1)``, evaluated stably: a Taylor series for
@@ -156,52 +255,48 @@ def _truncated_exp_mean_fraction(x: float) -> float:
     the ``expm1`` form otherwise. ``g`` decreases from 1/2 (uniform
     limit) towards 0 (failures concentrate at the interval start), so
     the conditional mean always lies inside the interval.
+
+    ``x`` is a float (returns a float) or a float64 array (elementwise).
     """
-    if x < 1e-5:
-        return 0.5 - x / 12.0 + x**3 / 720.0
-    if x > 700.0:  # e^x overflows; 1/(e^x - 1) is exactly 0 in double
-        return 1.0 / x
-    return 1.0 / x - 1.0 / math.expm1(x)
-
-
-def _segment_event(
-    start: float, end: float, rate: float
-) -> OutputEvent | None:
-    """Event for one constant-intensity interval, or ``None`` if inert.
-
-    Generation probability is ``1 - e^{-r·d}``; conditional on a strike,
-    its instant is truncated-exponential over the interval, with mean
-    ``start + d·g(r·d)`` (see :func:`_truncated_exp_mean_fraction`).
-    """
-    d = end - start
-    if d <= 0 or rate <= 0:
-        return None
-    x = rate * d
-    prob = -math.expm1(-x)
-    if prob <= 0.0:
-        return None
-    mean_local = d * _truncated_exp_mean_fraction(x)
-    return OutputEvent(time=end, probability=prob, mean_time=start + mean_local)
+    values = np.atleast_1d(np.asarray(x, dtype=float))
+    g = np.empty_like(values)
+    small = values < 1e-5
+    large = values > 700.0  # e^x overflows; 1/(e^x - 1) is exactly 0
+    middle = ~(small | large)
+    s = values[small]
+    g[small] = 0.5 - s / 12.0 + _libm(pow, s, 3) / 720.0
+    g[large] = 1.0 / values[large]
+    m = values[middle]
+    g[middle] = 1.0 / m - 1.0 / _libm(math.expm1, m)
+    return g if np.ndim(x) else float(g[0])
 
 
 def _events_from_piecewise(
-    hazard: PiecewiseHazard, offset: float = 0.0, until: float | None = None
-) -> list[OutputEvent]:
-    """One event per positive-intensity segment of a piecewise hazard."""
-    events: list[OutputEvent] = []
+    hazard: PiecewiseHazard, until: float | None = None
+) -> _EventColumns:
+    """One event per positive-intensity segment of a piecewise hazard.
+
+    Segment ``[t0, t1)`` at rate ``r`` fails with probability
+    ``1 - e^{-r·d}``; conditional on a strike, its instant is
+    truncated-exponential over the segment, with mean ``t0 + d·g(r·d)``
+    (see :func:`_truncated_exp_mean_fraction`). ``until`` keeps the
+    segments that start before it, the last one cut at ``until``.
+    """
     bp = hazard.breakpoints
-    rates = hazard.rates
-    for j in range(rates.size):
-        t0 = float(bp[j])
-        t1 = float(bp[j + 1])
-        if until is not None:
-            if t0 >= until:
-                break
-            t1 = min(t1, until)
-        event = _segment_event(offset + t0, offset + t1, float(rates[j]))
-        if event is not None:
-            events.append(event)
-    return events
+    t0, t1, rates = bp[:-1], bp[1:], hazard.rates
+    if until is not None:
+        kept = int(np.searchsorted(t0, until, side="left"))
+        t0, rates = t0[:kept], rates[:kept]
+        t1 = np.minimum(t1[:kept], until)
+    d = t1 - t0
+    live = (d > 0) & (rates > 0)
+    t0, t1, d = t0[live], t1[live], d[live]
+    x = rates[live] * d
+    prob = -_libm(math.expm1, -x)
+    fails = prob > 0.0
+    t0, t1, d, x, prob = (a[fails] for a in (t0, t1, d, x, prob))
+    mean = t0 + d * _truncated_exp_mean_fraction(x)
+    return _EventColumns(t1, prob, mean).checked()
 
 
 #: Below this repetition count, inner cycles are enumerated exactly;
@@ -211,7 +306,7 @@ _ENUMERATION_LIMIT = 1024
 
 
 def _aggregate_blocks(
-    block_events: list[OutputEvent],
+    block_events: Sequence[OutputEvent],
     block_period: float,
     repetitions: int,
     offset: float,
@@ -226,16 +321,12 @@ def _aggregate_blocks(
     * conditional mean ``offset + E[k | fail]·P_block + m_b`` with
       ``E[k | fail] = q_b·Σ_{k<R} k(1-q_b)^k / (1 - (1-q_b)^R)``.
 
-    Exact because blocks are disjoint in time and i.i.d.
+    Exact because blocks are disjoint in time and i.i.d. ``block_events``
+    is a sequence of :class:`OutputEvent` or the builders' columns.
     """
-    survival = 1.0
-    weighted = 0.0
-    q_b = 0.0
-    for e in block_events:
-        p_here = survival * e.probability
-        weighted += p_here * e.mean_time
-        q_b += p_here
-        survival *= 1.0 - e.probability
+    if not isinstance(block_events, _EventColumns):
+        block_events = _EventColumns.of(block_events)
+    q_b, weighted = _fold(block_events.probability, block_events.mean_time)
     if q_b <= 0.0:
         return None
     m_b = weighted / q_b
@@ -260,9 +351,9 @@ def _aggregate_blocks(
     )
 
 
-def _events_from_nested(hazard: NestedHazard) -> list[OutputEvent]:
+def _events_from_nested(hazard: NestedHazard) -> _EventColumns:
     """Events for a nested hazard, aggregating massive inner repetitions."""
-    events: list[OutputEvent] = []
+    parts: list[_EventColumns] = []
     offset = 0.0
     for duration, inner in hazard.segments:
         ratio = duration / inner.period
@@ -271,36 +362,22 @@ def _events_from_nested(hazard: NestedHazard) -> list[OutputEvent]:
         if tail < 0:
             tail = 0.0
         block = _events_from_piecewise(inner)
-        if full > 0 and block:
+        if full > 0 and block.time.size:
             if full <= _ENUMERATION_LIMIT:
-                for k in range(full):
-                    shift = offset + k * inner.period
-                    events.extend(
-                        OutputEvent(
-                            time=shift + e.time,
-                            probability=e.probability,
-                            mean_time=shift + e.mean_time,
-                        )
-                        for e in block
-                    )
+                shifts = offset + np.arange(full) * inner.period
+                parts.append(block.shifted(shifts))
             else:
                 aggregate = _aggregate_blocks(
                     block, inner.period, full, offset
                 )
                 if aggregate is not None:
-                    events.append(aggregate)
+                    parts.append(_EventColumns.of([aggregate]))
         if tail > 1e-12 * inner.period:
-            shift = offset + full * inner.period
-            events.extend(
-                OutputEvent(
-                    time=shift + e.time,
-                    probability=e.probability,
-                    mean_time=shift + e.mean_time,
-                )
-                for e in _events_from_piecewise(inner, until=tail)
-            )
+            shift = np.array([offset + full * inner.period])
+            tail_events = _events_from_piecewise(inner, until=tail)
+            parts.append(tail_events.shifted(shift))
         offset += duration
-    return events
+    return _EventColumns.concat(parts)
 
 
 def timeline_from_intensity(intensity: CyclicIntensity) -> SoftArchTimeline:

@@ -9,7 +9,8 @@ them exactly: the MTTF and the iteration failure probability as
 
 SPEC profiles come from a short 4k-instruction window (dilated to the
 paper's loop, as sec5.4 does) so the gate stays fast; the paper-scale
-``ResultSet`` bytes are checked by the benchmark's digests.
+``ResultSet`` bytes are checked by the benchmark's digests. The fold's
+transcendentals come from the platform libm (pinned with glibc 2.36).
 
 To print the table for the current code (only ever needed if the
 SoftArch model itself is meant to change)::
