@@ -205,8 +205,7 @@ def _rows(events) -> tuple:
 
 
 def _column_rows(columns: _EventColumns) -> tuple:
-    table = np.stack(columns) if columns.time.size else np.empty((3, 0))
-    return tuple(table.view(np.int64).ravel().tolist())
+    return tuple(np.stack(columns).view(np.int64).ravel().tolist())
 
 
 def outcome(build, rows):
