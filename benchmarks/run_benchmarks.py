@@ -306,10 +306,11 @@ def kernel_cases(trials: int, workers: int, repeat: int):
       single-CPU host the process rows record what fan-out actually
       costs there; read them next to the serial rows, not as a win.
 
-    A final ``kernel_numba_availability`` record documents whether the
-    optional JIT backend could run at all on this host — when numba is
-    absent the fused-loop headroom simply was not measured, rather
-    than silently standing in for the NumPy numbers.
+    A final ``kernel_spec_plan`` record times one 100k-trial
+    ``sample_ttf`` on the gzip system plan at the paper's dilated
+    10k-instruction window, whose 3.4k-entry cumulative-hazard table
+    takes the guided segment search; sec5.4's Monte-Carlo reference
+    spends its time in exactly these draws.
     """
     import dataclasses
 
@@ -436,15 +437,35 @@ def kernel_cases(trials: int, workers: int, repeat: int):
             )
         records.append(record)
 
-    records.append(
-        {
-            "name": "kernel_numba_availability",
-            "seconds": 0.0,
-            "numba_available": "numba" in _kernel.available_kernels(),
-            "available_kernels": list(_kernel.available_kernels()),
-        }
-    )
+    records.append(spec_plan_case(repeat))
     return records
+
+
+def spec_plan_case(repeat: int, trials: int = 100_000) -> dict:
+    """One SPEC system plan's ``sample_ttf`` throughput (sec5.4 scale)."""
+    from repro.core.kernel import plan_for_system
+    from repro.harness.spec_setup import processor_profile
+    from repro.ser.rates import component_rate_per_second
+
+    profile = processor_profile(
+        "gzip", 10_000, dilate_to_paper_window=True
+    )
+    plan = plan_for_system(
+        SystemModel(
+            [Component("gzip", component_rate_per_second(1e8, 1.0), profile)]
+        )
+    )
+    config = MonteCarloConfig(trials=trials, seed=7, chunks=1)
+    plan.sample_ttf(config)  # warm the allocator before timing
+    seconds, _ = _timed(lambda: plan.sample_ttf(config), max(repeat, 5))
+    return {
+        "name": "kernel_spec_plan",
+        "seconds": round(seconds, 5),
+        "kernel": "numpy",
+        "trials": trials,
+        "table_entries": int(plan.intensity.cum.size),
+        "trials_per_second": round(trials / seconds),
+    }
 
 
 def fleet_cases(trials: int, points: int, shards: int = 2):
@@ -1030,8 +1051,8 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                 extra = (
                     f"  ({record['vs_serial_same_kernel']}x vs serial)"
                 )
-            elif "numba_available" in record:
-                extra = f"  numba_available={record['numba_available']}"
+            elif "trials_per_second" in record:
+                extra = f"  ({record['trials_per_second']} trials/s)"
             print(f"{record['name']:44s} {record['seconds']:8.3f}s{extra}")
 
     # Cold vs warm disk cache on the same sweep (one repeat each; the

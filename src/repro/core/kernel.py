@@ -15,10 +15,14 @@ Three layers:
 
 * **Compiled intensities** — :class:`CompiledPiecewise` and
   :class:`CompiledNested` replicate the exact floating-point arithmetic
-  of their :mod:`~repro.reliability.hazard` counterparts (same searches,
-  same guard ``np.where`` chains, same clips) while dropping the
+  of their :mod:`~repro.reliability.hazard` counterparts (same search
+  results, same guard arithmetic, same clips) while dropping the
   per-call Python overhead (object traversal, ``np.unique``,
-  re-validation of static tables). Same inputs, same bits.
+  re-validation of static tables). Same inputs, same bits. Two
+  shortcuts keep the bits: long tables find each key's segment through
+  a guide table checked against the binary search's own definition
+  (:meth:`CompiledPiecewise._search`), and the rarely taken period
+  guards correct only the keys they select, in place.
 * **Sampling plans** — :class:`SamplingPlan` bundles a compiled
   intensity with the component wire forms (for the arrival sampler,
   which needs the full model) under the owning model's content
@@ -26,10 +30,8 @@ Three layers:
   (``repro.plan/v1``).
 * **Kernel backends** — :func:`get_backend` resolves
   ``MonteCarloConfig.kernel`` to an execution backend. ``"numpy"``
-  (default) is bit-identical to the legacy sampler; ``"numba"`` JIT
-  compiles the piecewise inverse transform when numba is installed and
-  fails loudly (never silently degrades) when it is not; ``"legacy"``
-  is handled by the callers (``repro.core.montecarlo`` and the batch
+  (default) is bit-identical to the legacy sampler; ``"legacy"`` is
+  handled by the callers (``repro.core.montecarlo`` and the batch
   engine route around plans entirely) and exists so benchmarks can
   measure the old path.
 
@@ -52,7 +54,6 @@ and one request fingerprint.
 
 from __future__ import annotations
 
-import importlib.util
 import threading
 from typing import TYPE_CHECKING, Sequence
 
@@ -74,14 +75,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PLAN_SCHEMA = "repro.plan/v1"
 
 #: Recognised values of ``MonteCarloConfig.kernel``.
-KERNELS = ("numpy", "numba", "legacy")
+KERNELS = ("numpy", "legacy")
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+#: Tables at least this long search through a guide (``_search``).
+_GUIDE_MIN_ENTRIES = 16
+
+#: Upward steps from a guide entry before a key takes the full search.
+_GUIDE_STEPS = 3
 
 
 # ---------------------------------------------------------------------------
 # Compiled intensities.
 # ---------------------------------------------------------------------------
+
+
+def _wrap(u: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whole periods ``k`` and remainder in ``[smallest subnormal, mass]``.
+
+    The legacy guards moved a remainder that rounding left at or below 0
+    (or above ``mass``) by one period through ``np.where``; the rare
+    keys are corrected in place instead, with the same operations.
+    """
+    k = np.floor(u / mass)
+    rem = u - k * mass
+    under = rem <= 0.0
+    if under.any():
+        k[under] -= 1
+        rem[under] += mass
+    over = rem > mass
+    if over.any():
+        k[over] += 1
+        rem[over] -= mass
+    np.clip(rem, _SMALLEST_SUBNORMAL, mass, out=rem)
+    return k, rem
 
 
 class CompiledPiecewise:
@@ -94,7 +122,7 @@ class CompiledPiecewise:
     plan matches the legacy sampler bit for bit.
     """
 
-    __slots__ = ("bp", "rates", "cum", "period", "mass")
+    __slots__ = ("bp", "rates", "cum", "period", "mass", "_guide", "_scale")
 
     kind = "piecewise"
 
@@ -114,6 +142,28 @@ class CompiledPiecewise:
             )
         self.period = float(self.bp[-1])
         self.mass = float(self.cum[-1])
+        self._guide = None
+        self._scale = 0.0
+        if (
+            self.cum.size >= _GUIDE_MIN_ENTRIES
+            and self.mass > 0
+            and np.all(self.cum[1:] >= self.cum[:-1])
+        ):
+            bins = 2 * self.cum.size
+            self._scale = bins / self.mass
+            guide = np.searchsorted(
+                self.cum, np.arange(bins) / self._scale, side="left"
+            )
+            # Capped so the upward steps never index past the table.
+            top = self.cum.size - 1 - _GUIDE_STEPS
+            self._guide = np.minimum(guide, top).astype(np.int32)
+
+    def __getstate__(self) -> tuple:
+        # The guide is derived from ``cum``: rebuilt on arrival, never sent.
+        return (self.bp, self.rates, self.cum)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
 
     @classmethod
     def from_hazard(cls, hazard: PiecewiseHazard) -> "CompiledPiecewise":
@@ -139,16 +189,45 @@ class CompiledPiecewise:
         u = np.asarray(u, dtype=float)
         if np.any((u <= 0) | (u > self.mass * (1 + _REL_TOL))):
             raise ProfileError("u outside (0, mass]")
-        u = np.minimum(u, self.mass)
-        idx = np.clip(
-            np.searchsorted(self.cum, u, side="left") - 1,
-            0,
-            self.rates.size - 1,
-        )
+        scalar = u.ndim == 0
+        u = np.minimum(np.atleast_1d(u), self.mass)
+        idx = self._search(u)
+        idx -= 1
+        np.clip(idx, 0, self.rates.size - 1, out=idx)
         rate = self.rates[idx]
+        frac = u - self.cum[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(rate > 0, (u - self.cum[idx]) / rate, 0.0)
-        return np.minimum(self.bp[idx] + frac, self.period)
+            frac /= rate
+        frac[~(rate > 0)] = 0.0
+        out = np.add(self.bp[idx], frac, out=frac)
+        np.minimum(out, self.period, out=out)
+        return out[0] if scalar else out
+
+    def _search(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self.cum, u, side="left")``, through the guide.
+
+        Bin ``b`` of the guide holds the search result for the key
+        ``b / scale``, a lower bound for the keys that fall in it; a few
+        upward steps usually reach the answer. Every key is then checked
+        against the definition of the left-side search,
+        ``cum[i] >= u and cum[i - 1] < u``, and those that fail (NaN,
+        keys beyond ``mass``, crowded bins, ``i == 0`` where ``cum[-1]``
+        wraps to ``mass``) are searched in full: the result is the
+        binary search's, exactly, for every key.
+        """
+        if self._guide is None:
+            return np.searchsorted(self.cum, u, side="left")
+        cum = self.cum
+        scaled = u * self._scale
+        np.fmax(scaled, 0.0, out=scaled)  # NaN lands in bin 0.
+        np.fmin(scaled, self._guide.size - 1, out=scaled)
+        i = self._guide[scaled.astype(np.intp)].astype(np.intp)
+        for _ in range(_GUIDE_STEPS):
+            i += cum[i] < u
+        miss = ~((cum[i] >= u) & (cum[i - 1] < u))
+        if miss.any():
+            i[miss] = np.searchsorted(cum, u[miss], side="left")
+        return i
 
     def to_dict(self) -> dict:
         return {
@@ -279,18 +358,11 @@ class CompiledNested:
             if inner.mass <= 0:
                 out[sel] = self.starts[j]
                 continue
-            k = np.floor(rem / inner.mass)
-            inner_rem = rem - k * inner.mass
-            under = inner_rem <= 0.0
-            k = np.where(under, k - 1, k)
-            inner_rem = np.where(under, inner_rem + inner.mass, inner_rem)
-            over = inner_rem > inner.mass
-            k = np.where(over, k + 1, k)
-            inner_rem = np.where(over, inner_rem - inner.mass, inner_rem)
-            inner_rem = np.clip(inner_rem, _SMALLEST_SUBNORMAL, inner.mass)
-            out[sel] = (
-                self.starts[j] + k * inner.period + inner.invert(inner_rem)
-            )
+            k, inner_rem = _wrap(rem, inner.mass)
+            k *= inner.period
+            k += self.starts[j]
+            k += inner.invert(inner_rem)
+            out[sel] = k
         out = np.minimum(out, self.period)
         return out[0] if scalar else out
 
@@ -372,16 +444,10 @@ def _invert_extended(
         raise ProfileError("hazard target must be positive")
     if intensity.mass <= 0:
         return np.full_like(u, np.inf)
-    k = np.floor(u / intensity.mass)
-    rem = u - k * intensity.mass
-    under = rem <= 0.0
-    k = np.where(under, k - 1, k)
-    rem = np.where(under, rem + intensity.mass, rem)
-    over = rem > intensity.mass
-    k = np.where(over, k + 1, k)
-    rem = np.where(over, rem - intensity.mass, rem)
-    rem = np.clip(rem, _SMALLEST_SUBNORMAL, intensity.mass)
-    return k * intensity.period + intensity.invert(rem)
+    k, rem = _wrap(u, intensity.mass)
+    k *= intensity.period
+    k += intensity.invert(rem)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +464,6 @@ class NumpyKernel:
     """
 
     name = "numpy"
-
-    @property
-    def available(self) -> bool:
-        return True
 
     def inverse_ttf(
         self,
@@ -424,123 +486,12 @@ class NumpyKernel:
         return _invert_extended(intensity, e + accrued) - offsets
 
 
-class NumbaKernel(NumpyKernel):
-    """Optional JIT backend behind feature detection.
-
-    When numba is installed, the piecewise inverse transform runs as a
-    compiled per-element loop (same IEEE double operations as the NumPy
-    ufunc path, so results match). Nested plans keep the NumPy
-    evaluation — their hot loop is already grouped array work. When
-    numba is missing, :func:`get_backend` refuses the request loudly:
-    a kernel choice never silently degrades.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._jit = None
-
-    @property
-    def available(self) -> bool:
-        return importlib.util.find_spec("numba") is not None
-
-    def _compiled(self):
-        if self._jit is None:
-            try:
-                import numba
-
-                @numba.njit(cache=False)
-                def invert_extended(
-                    u, bp, rates, cum, period, mass, smallest
-                ):  # pragma: no cover - requires numba
-                    out = np.empty_like(u)
-                    nseg = rates.size
-                    for i in range(u.size):
-                        k = np.floor(u[i] / mass)
-                        rem = u[i] - k * mass
-                        if rem <= 0.0:
-                            k -= 1.0
-                            rem += mass
-                        if rem > mass:
-                            k += 1.0
-                            rem -= mass
-                        if rem < smallest:
-                            rem = smallest
-                        if rem > mass:
-                            rem = mass
-                        # bisect_left on the cumulative table.
-                        lo, hi = 0, cum.size
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if cum[mid] < rem:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        idx = lo - 1
-                        if idx < 0:
-                            idx = 0
-                        if idx > nseg - 1:
-                            idx = nseg - 1
-                        rate = rates[idx]
-                        frac = (rem - cum[idx]) / rate if rate > 0 else 0.0
-                        local = bp[idx] + frac
-                        if local > period:
-                            local = period
-                        out[i] = k * period + local
-                    return out
-
-                self._jit = invert_extended
-            except Exception as error:  # pragma: no cover - defensive
-                raise EstimationError(
-                    f"numba backend failed to initialise: {error}"
-                ) from error
-        return self._jit
-
-    def inverse_ttf(
-        self,
-        intensity: CompiledIntensity,
-        config: "MonteCarloConfig",
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if not self.available:
-            raise EstimationError(
-                "kernel 'numba' requested but numba is not installed; "
-                "use kernel='numpy' or install numba"
-            )
-        if not isinstance(intensity, CompiledPiecewise) or (
-            config.start_phase != "zero"
-        ):
-            # Nested plans and random-phase draws use the grouped NumPy
-            # evaluation; only the dominant zero-phase piecewise
-            # transform is JIT-compiled.
-            return super().inverse_ttf(intensity, config, rng)
-        if intensity.mass <= 0:
-            return np.full(config.trials, np.inf)
-        e = rng.exponential(size=config.trials)
-        if np.any(e <= 0):
-            raise ProfileError("hazard target must be positive")
-        kern = self._compiled()
-        return kern(
-            e,
-            intensity.bp,
-            intensity.rates,
-            intensity.cum,
-            intensity.period,
-            intensity.mass,
-            _SMALLEST_SUBNORMAL,
-        )  # pragma: no cover - requires numba
-
-
-_BACKENDS = {"numpy": NumpyKernel(), "numba": NumbaKernel()}
+_BACKENDS = {"numpy": NumpyKernel()}
 
 
 def available_kernels() -> tuple[str, ...]:
-    """The kernel names this interpreter can actually execute."""
-    names = [
-        name for name, backend in _BACKENDS.items() if backend.available
-    ]
-    names.append("legacy")
-    return tuple(names)
+    """The kernel names this interpreter can execute: all of them."""
+    return KERNELS
 
 
 def get_backend(name: str) -> NumpyKernel:
@@ -553,11 +504,6 @@ def get_backend(name: str) -> NumpyKernel:
     if backend is None:
         raise EstimationError(
             f"unknown kernel {name!r}; choose from {KERNELS}"
-        )
-    if not backend.available:
-        raise EstimationError(
-            f"kernel {name!r} requested but its runtime is not "
-            f"installed; available: {available_kernels()}"
         )
     return backend
 

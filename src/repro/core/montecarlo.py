@@ -205,11 +205,10 @@ class MonteCarloConfig:
         :mod:`repro.core.kernel`). ``"numpy"`` (default) runs against a
         compiled, fingerprint-cached intensity plan — bit-identical to
         the legacy object-based sampler, but the plan is built once per
-        design point instead of once per chunk. ``"numba"`` JIT
-        compiles the hot transform when numba is installed (refused
-        loudly otherwise). ``"legacy"`` forces the original
-        object-traversing path — results are identical; it exists so
-        benchmarks can measure the plan layer itself. Because every
+        design point instead of once per chunk. ``"legacy"`` forces
+        the original object-traversing path — results are identical;
+        it exists so benchmarks can measure the plan layer itself.
+        Because every
         kernel produces the same bits, this field is deliberately
         **excluded** from cache keys (``mc_token``) and job wire forms.
     """
@@ -245,10 +244,9 @@ class MonteCarloConfig:
             )
         if self.chunks < 1:
             raise EstimationError(f"chunks must be >= 1, got {self.chunks}")
-        if self.kernel not in ("numpy", "numba", "legacy"):
+        if self.kernel not in ("numpy", "legacy"):
             raise EstimationError(
-                f"unknown kernel {self.kernel!r}; "
-                "use 'numpy', 'numba', or 'legacy'"
+                f"unknown kernel {self.kernel!r}; use 'numpy' or 'legacy'"
             )
 
 

@@ -244,15 +244,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=("numpy", "numba", "legacy"),
+        choices=("numpy", "legacy"),
         default="numpy",
         help="Monte-Carlo sampling kernel: 'numpy' (default) runs "
         "inverse-method draws against compiled, fingerprint-cached "
-        "intensity plans with batched chunk dispatch; 'numba' JIT-"
-        "compiles the hot invert loop when numba is installed (fails "
-        "loudly otherwise); 'legacy' keeps the original per-chunk "
-        "object-graph sampler as a benchmark/debug axis. All three "
-        "produce bit-identical results and share cache entries",
+        "intensity plans with batched chunk dispatch; 'legacy' keeps "
+        "the original per-chunk object-graph sampler as a "
+        "benchmark/debug axis. Both produce bit-identical results and "
+        "share cache entries",
     )
     parser.add_argument(
         "--mc-chunks",

@@ -218,6 +218,173 @@ class TestCompiledIntensity:
 
 
 # ---------------------------------------------------------------------------
+# The guided segment search: the binary search's index, exactly.
+# ---------------------------------------------------------------------------
+
+
+def _long_table(rng, segments, zero_runs, lo_exp, hi_exp):
+    """Durations and rates of a long table with runs of zero-rate segments."""
+    rates = 10.0 ** rng.uniform(lo_exp, hi_exp, size=segments)
+    for start in rng.integers(0, segments, size=zero_runs):
+        rates[start:start + rng.integers(1, 40)] = 0.0
+    rates[rng.integers(0, segments)] = 10.0 ** hi_exp  # mass > 0
+    return rng.uniform(0.01, 10.0, size=segments), rates
+
+
+@st.composite
+def guided_tables(draw):
+    """Compiled tables of 16-5000 entries, rates spanning 1e-12...1e2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo_exp = draw(st.integers(-12, 2))
+    durations, rates = _long_table(
+        rng,
+        segments=draw(st.integers(15, 4999)),
+        zero_runs=draw(st.integers(0, 60)),
+        lo_exp=lo_exp,
+        hi_exp=draw(st.integers(lo_exp, 2)),
+    )
+    bp = np.concatenate(([0.0], np.cumsum(durations)))
+    return compile_intensity(PiecewiseHazard(bp, rates)), rng
+
+
+@st.composite
+def large_profiles(draw):
+    """Vulnerability profiles with 16-5000 segments and zero runs."""
+    from repro.masking import PiecewiseProfile
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    durations, values = _long_table(
+        rng,
+        segments=draw(st.integers(16, 5000)),
+        zero_runs=draw(st.integers(0, 60)),
+        lo_exp=draw(st.integers(-12, 0)),
+        hi_exp=0,
+    )
+    return PiecewiseProfile(
+        np.concatenate(([0.0], np.cumsum(durations))), values
+    )
+
+
+def _search_keys(compiled, rng):
+    """Table values, their neighbours, the extremes, NaN, random keys."""
+    cum, mass = compiled.cum, compiled.mass
+    return np.concatenate(
+        [
+            cum,
+            np.nextafter(cum, -np.inf),
+            np.nextafter(cum, np.inf),
+            [mass, np.nextafter(mass, np.inf), np.inf, -np.inf],
+            [np.finfo(float).smallest_subnormal, 0.0, np.nan, np.nan],
+            rng.uniform(0.0, mass, size=2_000),
+        ]
+    )
+
+
+def _unguided(compiled):
+    plain = CompiledPiecewise(compiled.bp, compiled.rates, compiled.cum)
+    plain._guide = None
+    return plain
+
+
+class TestGuidedSearch:
+    @pytest.mark.parametrize("steps", [0, 3])
+    @given(guided_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_index_equals_binary_search(self, steps, table):
+        compiled, rng = table
+        assert compiled._guide is not None
+        keys = _search_keys(compiled, rng)
+        with pytest.MonkeyPatch.context() as patch:
+            # No upward steps: every key off its guide entry falls back.
+            patch.setattr(kernel_mod, "_GUIDE_STEPS", steps)
+            found = compiled._search(keys)
+        np.testing.assert_array_equal(
+            found, np.searchsorted(compiled.cum, keys, side="left")
+        )
+
+    @given(guided_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_invert_bits_equal_unguided(self, table):
+        compiled, rng = table
+        keys = _search_keys(compiled, rng)
+        keys = keys[~(keys <= 0) & ~(keys > compiled.mass)]
+        np.testing.assert_array_equal(
+            compiled.invert(keys), _unguided(compiled).invert(keys)
+        )
+
+    def test_crowded_bins_take_the_full_search(self):
+        # 4000 segments share the first bin with one hot segment's
+        # table: their keys sit far more than the step limit from it.
+        rates = np.concatenate([np.full(4000, 1e-12), [1e2]])
+        bp = np.arange(rates.size + 1, dtype=float)
+        compiled = compile_intensity(PiecewiseHazard(bp, rates))
+        keys = compiled.cum[1:-1]
+        truth = np.searchsorted(compiled.cum, keys, side="left")
+        start = compiled._guide[(keys * compiled._scale).astype(np.intp)]
+        assert np.sum(truth - start > kernel_mod._GUIDE_STEPS) > 3000
+        np.testing.assert_array_equal(compiled._search(keys), truth)
+        np.testing.assert_array_equal(
+            compiled.invert(keys), _unguided(compiled).invert(keys)
+        )
+
+    def test_guide_entry_past_the_answer_takes_the_full_search(self):
+        # Keys one or two ulps below a bin edge b / scale can still
+        # round into bin b, whose entry then lies past them when they
+        # are table values: only the lower half of the check catches it.
+        entries, mass = 64, 0.7
+        scale = 2 * entries / mass
+        edge_keys = []
+        for b in range(1, 2 * entries):
+            key = b / scale
+            for _ in range(3):
+                key = np.nextafter(key, -np.inf)
+                if np.floor(key * scale) >= b:
+                    edge_keys.append(key)
+        assert len(edge_keys) > 5
+        cum = np.sort(
+            np.concatenate(
+                [edge_keys, np.linspace(0.0, mass, entries - len(edge_keys))]
+            )
+        )
+        compiled = CompiledPiecewise(
+            np.arange(entries, dtype=float), np.ones(entries - 1), cum
+        )
+        assert compiled._scale == scale and compiled.mass == mass
+        keys = np.asarray(edge_keys)
+        np.testing.assert_array_equal(
+            compiled._search(keys), np.searchsorted(cum, keys, side="left")
+        )
+
+    def test_short_and_massless_tables_have_no_guide(self):
+        short = compile_intensity(
+            PiecewiseHazard(np.arange(15.0), np.ones(14))
+        )
+        massless = compile_intensity(
+            PiecewiseHazard(np.arange(40.0), np.zeros(39))
+        )
+        assert short._guide is None and massless._guide is None
+
+    def test_guide_stays_out_of_wire_forms(self):
+        compiled = compile_intensity(
+            PiecewiseHazard(np.arange(101.0), np.linspace(0.0, 2.0, 100))
+        )
+        assert set(compiled.to_dict()) == {
+            "type", "breakpoints", "rates", "cum"
+        }
+        state = compiled.__getstate__()
+        assert len(state) == 3 and all(
+            shipped is table
+            for shipped, table in zip(
+                state, (compiled.bp, compiled.rates, compiled.cum)
+            )
+        )
+        clone = pickle.loads(pickle.dumps(compiled))
+        np.testing.assert_array_equal(clone._guide, compiled._guide)
+        assert clone._guide.dtype == np.int32
+        assert clone._guide.nbytes == 8 * compiled.cum.size
+
+
+# ---------------------------------------------------------------------------
 # Plan sampling vs the legacy samplers.
 # ---------------------------------------------------------------------------
 
@@ -497,6 +664,30 @@ class TestHydration:
         assert status == PLAN_OK
         assert again == pairs
 
+    @given(
+        large_profiles(),
+        st.sampled_from(["zero", "random"]),
+        st.floats(min_value=1e-2, max_value=1e2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_large_table_samples_match_legacy(
+        self, profile, start_phase, rate
+    ):
+        # Long tables take the guided search the small strategy never
+        # reaches; the legacy sampler always runs the binary search.
+        system = SystemModel([Component("c", rate, profile)])
+        config = _config(
+            trials=512, kernel="legacy", start_phase=start_phase
+        )
+        legacy = sample_system_ttf(system, config)
+        clear_plan_cache()
+        plan = plan_for_system(system)
+        assert plan.intensity._guide is not None
+        via_plan = plan.sample_ttf(
+            dataclasses.replace(config, kernel="numpy")
+        )
+        np.testing.assert_array_equal(via_plan, legacy)
+
     def test_batch_moments_match_direct_chunks(self, nested_system):
         plan = plan_for_system(nested_system)
         config = _config(trials=600, chunks=3)
@@ -530,22 +721,6 @@ class TestBackends:
         with pytest.raises(EstimationError, match="kernel"):
             MonteCarloConfig(trials=10, kernel="fortran")
 
-    def test_numba_feature_detection(self, piecewise_system):
-        """The numba backend JITs when present, refuses when absent."""
-        backend = kernel_mod._BACKENDS["numba"]
-        config = _config(kernel="numba")
-        if not backend.available:
-            with pytest.raises(EstimationError, match="numba"):
-                sample_system_ttf(piecewise_system, config)
-            assert "numba" not in available_kernels()
-            return
-        legacy = sample_system_ttf(
-            piecewise_system, dataclasses.replace(config, kernel="legacy")
-        )
-        np.testing.assert_array_equal(
-            sample_system_ttf(piecewise_system, config), legacy
-        )
-
 
 # ---------------------------------------------------------------------------
 # The kernel choice never leaks into cache keys or wire forms.
@@ -555,10 +730,9 @@ class TestBackends:
 class TestKernelTransparency:
     def test_mc_token_ignores_kernel(self):
         reference = MonteCarloConfig(trials=100, seed=1, kernel="numpy")
-        for name in ("numba", "legacy"):
-            assert mc_token(
-                dataclasses.replace(reference, kernel=name)
-            ) == mc_token(reference)
+        assert mc_token(
+            dataclasses.replace(reference, kernel="legacy")
+        ) == mc_token(reference)
 
     def test_wire_form_has_no_kernel_field(self):
         config = MonteCarloConfig(trials=100, seed=1, kernel="legacy")
