@@ -94,9 +94,9 @@ _GUIDE_STEPS = 3
 def _wrap(u: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Whole periods ``k`` and remainder in ``[smallest subnormal, mass]``.
 
-    The legacy guards moved a remainder that rounding left at or below 0
-    (or above ``mass``) by one period through ``np.where``; the rare
-    keys are corrected in place instead, with the same operations.
+    Rounding can leave a remainder at or below 0 or above ``mass``;
+    those rare keys move by one period in place, with the same
+    operations as the hazard objects' guards, so the bits match theirs.
     """
     k = np.floor(u / mass)
     rem = u - k * mass
