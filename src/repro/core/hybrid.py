@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..reliability.metrics import MTTFEstimate
-from ..reliability.series import sofr_mttf
 from .avf import avf_mttf
 from .bounds import avf_error_bound, corrected_avf_mttf
 from .firstprinciples import exact_component_mttf, first_principles_mttf
+from .sofr import sofr_mttf_from_components
 from .system import Component, SystemModel
 from .validity import (
     SAFE_MASS_THRESHOLD,
@@ -114,13 +114,12 @@ def hybrid_system_mttf(system: SystemModel) -> HybridEstimate:
         for c in system.components
     )
     if system_mass < SAFE_MASS_THRESHOLD:
-        mttfs: list[float] = []
-        for comp in system.components:
-            per_component = hybrid_component_mttf(comp).estimate
-            mttfs.extend([per_component.mttf_seconds] * comp.multiplicity)
+        mttf = sofr_mttf_from_components(
+            system, lambda c: hybrid_component_mttf(c).estimate.mttf_seconds
+        ).mttf_seconds
         return HybridEstimate(
             estimate=MTTFEstimate(
-                mttf_seconds=sofr_mttf(mttfs), method="hybrid[avf+sofr]"
+                mttf_seconds=mttf, method="hybrid[avf+sofr]"
             ),
             regime=Regime.SAFE,
             error_bound=component_bound,

@@ -240,7 +240,7 @@ class CompiledPiecewise:
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledPiecewise":
         try:
-            return cls(
+            compiled = cls(
                 np.asarray(data["breakpoints"], dtype=float),
                 np.asarray(data["rates"], dtype=float),
                 np.asarray(data["cum"], dtype=float),
@@ -249,6 +249,38 @@ class CompiledPiecewise:
             raise ConfigurationError(
                 f"piecewise plan wire form is missing {missing}"
             ) from None
+        compiled._check()
+        return compiled
+
+    def _check(self) -> None:
+        """Reject tables :class:`PiecewiseHazard` could not have built.
+
+        A wire form comes from elsewhere; a negative rate or a ``cum``
+        that is not the running integral of the rates would sample wrong
+        times without any error. ``cum`` is compared bit for bit with
+        the hazard's own construction, so no tolerance is involved.
+        """
+        bp, rates = self.bp, self.rates
+        if not (
+            bp.ndim == 1
+            and bp.size >= 2
+            and np.all(np.isfinite(bp))
+            and bp[0] == 0.0
+            and np.all(np.diff(bp) > 0)
+        ):
+            raise ConfigurationError(
+                "piecewise plan breakpoints must be finite, start at 0 "
+                "and strictly increase"
+            )
+        if not (np.all(np.isfinite(rates)) and np.all(rates >= 0)):
+            raise ConfigurationError(
+                "piecewise plan rates must be finite and non-negative"
+            )
+        cum = np.concatenate(([0.0], np.cumsum(rates * np.diff(bp))))
+        if cum.tobytes() != self.cum.tobytes():
+            raise ConfigurationError(
+                "piecewise plan cum is not the running integral of its rates"
+            )
 
 
 class CompiledNested:
@@ -378,7 +410,7 @@ class CompiledNested:
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledNested":
         try:
-            return cls(
+            compiled = cls(
                 np.asarray(data["starts"], dtype=float),
                 np.asarray(data["durations"], dtype=float),
                 np.asarray(data["cum_mass"], dtype=float),
@@ -391,6 +423,41 @@ class CompiledNested:
             raise ConfigurationError(
                 f"nested plan wire form is missing {missing}"
             ) from None
+        compiled._check()
+        return compiled
+
+    def _check(self) -> None:
+        """Reject outer tables :class:`NestedHazard` could not have built.
+
+        ``starts`` and ``cum_mass`` must be bit-equal to what the hazard
+        derives from the durations and the (already checked) inners.
+        """
+        durations = self.durations
+        if not (
+            durations.ndim == 1
+            and durations.size >= 1
+            and np.all(np.isfinite(durations))
+            and np.all(durations > 0)
+        ):
+            raise ConfigurationError(
+                "nested plan durations must be finite and positive"
+            )
+        starts = np.concatenate(([0.0], np.cumsum(durations)))
+        if starts.tobytes() != self.starts.tobytes():
+            raise ConfigurationError(
+                "nested plan starts are not the running sum of its durations"
+            )
+        seg_mass = np.asarray(
+            [
+                NestedHazard._segment_mass(inner, duration)  # noqa: SLF001
+                for inner, duration in zip(self.inners, durations.tolist())
+            ]
+        )
+        cum_mass = np.concatenate(([0.0], np.cumsum(seg_mass)))
+        if cum_mass.tobytes() != self.cum_mass.tobytes():
+            raise ConfigurationError(
+                "nested plan cum_mass is not the running mass of its inners"
+            )
 
 
 #: A compiled intensity of either shape.

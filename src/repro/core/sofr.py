@@ -17,21 +17,21 @@ Two entry points are provided, matching how the paper isolates errors:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from ..reliability.metrics import MTTFEstimate
-from ..reliability.series import sofr_mttf
+from ..reliability.series import _sofr_runs, sofr_mttf
 from .avf import avf_mttf
 from .system import Component, SystemModel
 
 
 def avf_sofr_mttf(system: SystemModel) -> MTTFEstimate:
     """The complete AVF+SOFR method applied to a system (Figure 1)."""
-    mttfs: list[float] = []
-    for comp in system.components:
-        component_mttf = avf_mttf(comp.rate_per_second, comp.profile)
-        mttfs.extend([component_mttf] * comp.multiplicity)
-    return MTTFEstimate(mttf_seconds=sofr_mttf(mttfs), method="avf+sofr")
+    estimate = sofr_mttf_from_components(
+        system, lambda c: avf_mttf(c.rate_per_second, c.profile)
+    )
+    return replace(estimate, method="avf+sofr")
 
 
 def sofr_mttf_from_components(
@@ -41,13 +41,14 @@ def sofr_mttf_from_components(
     """The SOFR step alone, with caller-supplied component MTTFs.
 
     ``component_mttf`` maps a single component *instance* to its MTTF in
-    seconds; multiplicities are expanded here.
+    seconds; each component's value then counts once per instance.
     """
-    mttfs: list[float] = []
-    for comp in system.components:
-        value = component_mttf(comp)
-        mttfs.extend([value] * comp.multiplicity)
-    return MTTFEstimate(mttf_seconds=sofr_mttf(mttfs), method="sofr")
+    components = system.components
+    mttf = _sofr_runs(
+        [component_mttf(c) for c in components],
+        [c.multiplicity for c in components],
+    )
+    return MTTFEstimate(mttf_seconds=mttf, method="sofr")
 
 
 def sofr_mttf_from_values(
@@ -56,9 +57,8 @@ def sofr_mttf_from_values(
 ) -> MTTFEstimate:
     """The SOFR step on raw MTTF values (convenience for analytics)."""
     if multiplicities is None:
-        values = list(component_mttfs)
+        mttf = sofr_mttf(component_mttfs)
     else:
-        values = []
-        for mttf, mult in zip(component_mttfs, multiplicities, strict=True):
-            values.extend([mttf] * mult)
-    return MTTFEstimate(mttf_seconds=sofr_mttf(values), method="sofr")
+        runs = list(zip(component_mttfs, multiplicities, strict=True))
+        mttf = _sofr_runs([v for v, _ in runs], [m for _, m in runs])
+    return MTTFEstimate(mttf_seconds=mttf, method="sofr")

@@ -18,8 +18,10 @@ which this library keeps, following the paper). This module provides:
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Sequence
+import operator
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -29,24 +31,68 @@ from .hazard import CyclicIntensity, PiecewiseHazard, merge_piecewise
 from .process import FailureProcess
 
 
+#: Instances one ``cumsum`` covers in :func:`_sofr_runs`; bounds its
+#: scratch memory whatever the multiplicities.
+_BLOCK = 1 << 16
+
+
+def _sofr_runs(
+    values: Iterable[float], multiplicities: Iterable[int]
+) -> float:
+    """The SOFR step over runs of equal MTTFs: ``values[i]`` repeated
+    ``multiplicities[i]`` times, in instance order.
+
+    Returns exactly the bits of the left fold ``total += 1/MTTF`` over the
+    expanded instances without expanding them: ``np.cumsum`` is a
+    sequential accumulate, so a block of one run's reciprocals, seeded
+    with the running total, rounds after every addition just as the loop
+    does (``np.sum`` pairs terms and ``m * (1/v)`` rounds once; both
+    differ). An infinite MTTF adds ``1/inf = 0.0``, which leaves any
+    total ``>= +0`` unchanged. Runs are validated in order; a run with
+    multiplicity ``<= 0`` stands for no instance and is not checked.
+    """
+    kept: list[float] = []
+    counts: list[int] = []
+    for value, count in zip(values, multiplicities):
+        count = operator.index(count)
+        if count <= 0:
+            continue
+        if value <= 0:
+            raise ConfigurationError(f"MTTF must be positive, got {value}")
+        kept.append(float(value))
+        counts.append(count)
+    if not counts:
+        raise ConfigurationError("need at least one component MTTF")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = 0.0
+    # Subnormal MTTFs overflow to an infinite rate, and the sum can
+    # overflow too; Python's float arithmetic gives the same inf silently.
+    with np.errstate(over="ignore", divide="ignore"):
+        rates = 1.0 / np.array(kept)
+        for lo in range(0, int(ends[-1]), _BLOCK):
+            hi = min(lo + _BLOCK, int(ends[-1]))
+            first = int(np.searchsorted(ends, lo, side="right"))
+            last = int(np.searchsorted(starts, hi, side="left"))
+            reps = np.minimum(ends[first:last], hi) - np.maximum(
+                starts[first:last], lo
+            )
+            block = np.concatenate(
+                ([total], np.repeat(rates[first:last], reps))
+            )
+            total = float(np.cumsum(block)[-1])
+    if total == 0.0:
+        return math.inf
+    return 1.0 / total
+
+
 def sofr_mttf(component_mttfs: Sequence[float]) -> float:
     """The SOFR step: ``MTTF_sys = 1 / sum_i (1 / MTTF_i)``.
 
     Infinite component MTTFs contribute zero failure rate. If every
     component is infinite the system MTTF is infinite.
     """
-    if not len(component_mttfs):
-        raise ConfigurationError("need at least one component MTTF")
-    total_rate = 0.0
-    for m in component_mttfs:
-        if m <= 0:
-            raise ConfigurationError(f"MTTF must be positive, got {m}")
-        if math.isinf(m):
-            continue
-        total_rate += 1.0 / m
-    if total_rate == 0.0:
-        return math.inf
-    return 1.0 / total_rate
+    return _sofr_runs(component_mttfs, itertools.repeat(1))
 
 
 class SeriesSystem:
